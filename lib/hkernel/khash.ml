@@ -51,12 +51,29 @@ type 'a elem = {
          sweep can tell an orphaned reservation from a live one. *)
 }
 
+(* Keys recorded by [populate_untimed] whose elements do not exist yet: a
+   CSR index by bin. Bin [b]'s keys sit at insertion positions
+   [order.(j)] for [j] in [start.(b), start.(b + 1)), ascending; the
+   element at position [i] gets key [keys.(i)] and is homed on
+   [elem_homes.((home0 + i) mod len)], exactly as an eager insert would
+   have homed it. A bin's elements are built on its first touch. *)
+type 'a pending = {
+  keys : int array;
+  start : int array; (* nbins + 1 offsets into [order] *)
+  order : int array;
+  home0 : int; (* [next_home] when the keys were recorded *)
+  make : int -> 'a;
+  built : Bytes.t; (* per bin: elements already in [bins] *)
+  mutable unbuilt : int; (* non-empty bins not built yet *)
+}
+
 type 'a t = {
   machine : Machine.t;
   granularity : granularity;
   nbins : int;
   nshards : int; (* 1 unless [Sharded] *)
-  bins : 'a elem list array;
+  bins : 'a elem list array; (* reached through [chain] *)
+  mutable pending : 'a pending option; (* [populate_untimed] keys *)
   bin_heads : Cell.t array; (* chain-head words, co-located with the lock *)
   lock : Lock.t; (* coarse table lock (Hybrid / Coarse) *)
   shard_locks : Lock.t array; (* Sharded: one coarse lock per shard *)
@@ -116,6 +133,7 @@ let create ?(granularity = Hybrid) ?(nbins = 64) ?(shards = 4)
     nbins;
     nshards;
     bins = Array.make nbins [];
+    pending = None;
     bin_heads =
       Array.init nbins (fun i ->
           let home =
@@ -123,14 +141,14 @@ let create ?(granularity = Hybrid) ?(nbins = 64) ?(shards = 4)
             | Sharded -> shard_home (shard_of_bin i)
             | Hybrid | Coarse | Fine -> lock_home
           in
-          Machine.alloc machine ~label:(Printf.sprintf "binhead%d" i) ~home 0);
+          Machine.alloc machine ~label:("binhead" ^ string_of_int i) ~home 0);
     lock = Lock.make machine ~home:lock_home ~vclass:(vname ^ ".lock") lock_algo;
     shard_locks =
       (match granularity with
       | Sharded ->
         Array.init nshards (fun s ->
             Lock.make machine ~home:(shard_home s)
-              ~vclass:(Printf.sprintf "%s.shard%d" vname s)
+              ~vclass:(vname ^ ".shard" ^ string_of_int s)
               lock_algo)
       | Hybrid | Coarse | Fine -> [||]);
     seqlocks =
@@ -138,7 +156,7 @@ let create ?(granularity = Hybrid) ?(nbins = 64) ?(shards = 4)
       | Sharded ->
         Array.init nshards (fun s ->
             Seqlock.create machine ~home:(shard_home s)
-              ~vclass:(Printf.sprintf "%s.seq%d" vname s)
+              ~vclass:(vname ^ ".seq" ^ string_of_int s)
               ())
       | Hybrid | Coarse | Fine -> [||]);
     bin_locks =
@@ -182,6 +200,58 @@ let pick_home t =
   t.next_home <- t.next_home + 1;
   h
 
+let elem_label key = "h" ^ string_of_int key
+
+(* A new element around an already-allocated status word; under [Fine] it
+   gets its element spin lock, carrying the same {!Verify} class whichever
+   path created it, so lockdep sees pre-populated and live elements
+   identically. *)
+let new_elem t key ~home ~status ~payload ~reserver =
+  {
+    key;
+    status;
+    elem_lock =
+      (match t.granularity with
+      | Fine ->
+        Some
+          (Spin_lock.create t.machine ~home ~vclass:t.elem_vclass
+             (fine_backoff t.machine))
+      | Hybrid | Coarse | Sharded -> None);
+    home;
+    payload;
+    reserver;
+  }
+
+(* Build bin [b]'s recorded elements: cons them in insertion order, onto
+   whatever the bin held before they were recorded, giving the same
+   newest-first chain the eager inserts would have left. *)
+let build_bin t p b =
+  Bytes.set p.built b '\001';
+  let lo = p.start.(b) and hi = p.start.(b + 1) in
+  if hi > lo then begin
+    let n_homes = Array.length t.elem_homes in
+    let c = ref t.bins.(b) in
+    for j = lo to hi - 1 do
+      let i = p.order.(j) in
+      let key = p.keys.(i) in
+      let home = t.elem_homes.((p.home0 + i) mod n_homes) in
+      let status = Cell.make ~label:(elem_label key) ~home 0 in
+      let e = new_elem t key ~home ~status ~payload:(p.make home) ~reserver:(-1) in
+      c := e :: !c
+    done;
+    t.bins.(b) <- !c;
+    p.unbuilt <- p.unbuilt - 1;
+    if p.unbuilt = 0 then t.pending <- None
+  end
+
+(* Bin [b]'s chain, building its recorded elements on the first touch.
+   Every access to [bins] goes through here. *)
+let chain t b =
+  (match t.pending with
+  | Some p when Bytes.get p.built b = '\000' -> build_bin t p b
+  | Some _ | None -> ());
+  t.bins.(b)
+
 (* -- operations that require the protecting lock to be held ------------- *)
 
 (* Search a chain: one read of the bin-head word (which lives beside the
@@ -202,7 +272,7 @@ let search_locked_status ctx t key =
       let v = costs_probe e in
       if e.key = key then Some (e, v) else go rest
   in
-  go t.bins.(bin_of_key t key)
+  go (chain t (bin_of_key t key))
 
 let search_locked ctx t key =
   Option.map fst (search_locked_status ctx t key)
@@ -233,24 +303,14 @@ let insert_locked ctx t key ~status0 ~make =
   let home = pick_home t in
   let payload = make home in
   let elem =
-    {
-      key;
-      status = Machine.alloc t.machine ~label:(Printf.sprintf "h%d" key) ~home status0;
-      elem_lock =
-        (match t.granularity with
-        | Fine ->
-          Some
-            (Spin_lock.create t.machine ~home ~vclass:t.elem_vclass
-               (fine_backoff t.machine))
-        | Hybrid | Coarse | Sharded -> None);
-      home;
-      payload;
-      reserver = (if status0 land 1 <> 0 then Ctx.proc ctx else -1);
-    }
+    new_elem t key ~home
+      ~status:(Machine.alloc t.machine ~label:(elem_label key) ~home status0)
+      ~payload
+      ~reserver:(if status0 land 1 <> 0 then Ctx.proc ctx else -1)
   in
   let b = bin_of_key t key in
   seq_write_begin t ctx key;
-  t.bins.(b) <- elem :: t.bins.(b);
+  t.bins.(b) <- elem :: chain t b;
   t.n_elems <- t.n_elems + 1;
   (* Link the element into the chain: one header write. *)
   Ctx.write ctx elem.status status0;
@@ -281,7 +341,7 @@ let remove_locked ctx t key =
           false
         end
         else true)
-      t.bins.(b);
+      (chain t b);
   if !found then begin
     t.n_elems <- t.n_elems - 1;
     (* Unlink write. *)
@@ -420,7 +480,7 @@ let search_unlocked ctx t key =
       Ctx.instr ctx ~reg:1 ~br:1 ();
       if e.key = key then Some e else go rest
   in
-  go t.bins.(bin_of_key t key)
+  go (chain t (bin_of_key t key))
 
 (* Read-only lookup. Under [Sharded] this is the optimistic read path:
    sample the shard's sequence word, probe the chain unlocked, validate.
@@ -501,40 +561,74 @@ let with_element t ctx key f =
            (fun () -> f e)))
 
 (* Untimed insertion for experiment setup (pre-populating descriptors
-   before the simulation starts). The element lock carries the same
-   {!Verify} class as a timed insert's, so lockdep sees pre-populated and
-   live elements identically. *)
+   before the simulation starts). No live processor set the status bits,
+   so a crash sweep has no corpse to attribute them to. *)
 let insert_untimed t key ~status0 ~make =
   let home = pick_home t in
   let payload = make home in
   let elem =
-    {
-      key;
-      status = Cell.make ~label:(Printf.sprintf "h%d" key) ~home status0;
-      elem_lock =
-        (match t.granularity with
-        | Fine ->
-          Some
-            (Spin_lock.create t.machine ~home ~vclass:t.elem_vclass
-               (fine_backoff t.machine))
-        | Hybrid | Coarse | Sharded -> None);
-      home;
-      payload;
-      (* No live processor set this bit (untimed setup), so a crash sweep
-         has no corpse to attribute it to. *)
-      reserver = -1;
-    }
+    new_elem t key ~home
+      ~status:(Cell.make ~label:(elem_label key) ~home status0)
+      ~payload ~reserver:(-1)
   in
   let b = bin_of_key t key in
-  t.bins.(b) <- elem :: t.bins.(b);
+  t.bins.(b) <- elem :: chain t b;
   t.n_elems <- t.n_elems + 1;
   elem
 
-(* Untimed whole-table iteration, for tests and invariant checks. *)
-let iter_untimed t f = Array.iter (fun chain -> List.iter f chain) t.bins
+(* Untimed whole-table iteration, for tests and invariant checks. Builds
+   every bin still pending. *)
+let iter_untimed t f =
+  for b = 0 to t.nbins - 1 do
+    List.iter f (chain t b)
+  done
 
 let mem_untimed t key =
-  List.exists (fun e -> e.key = key) t.bins.(bin_of_key t key)
+  List.exists (fun e -> e.key = key) (chain t (bin_of_key t key))
+
+(* Bulk untimed insertion, equivalent to [insert_untimed ~status0:0] per
+   key in array order, but each element is built only when its bin is
+   first touched. Recording is one counting sort by bin. Keys recorded by
+   an earlier call are built first, so a table has one pending batch at a
+   time and the new batch lands after it in every chain. *)
+let populate_untimed t keys ~make =
+  let n = Array.length keys in
+  if n > 0 then begin
+    if Option.is_some t.pending then iter_untimed t ignore;
+    let keys = Array.copy keys in
+    let start = Array.make (t.nbins + 1) 0 in
+    Array.iter
+      (fun k ->
+        let b = bin_of_key t k in
+        start.(b + 1) <- start.(b + 1) + 1)
+      keys;
+    let unbuilt = ref 0 in
+    for b = 0 to t.nbins - 1 do
+      if start.(b + 1) > 0 then incr unbuilt;
+      start.(b + 1) <- start.(b + 1) + start.(b)
+    done;
+    let fill = Array.sub start 0 t.nbins in
+    let order = Array.make n 0 in
+    Array.iteri
+      (fun i k ->
+        let b = bin_of_key t k in
+        order.(fill.(b)) <- i;
+        fill.(b) <- fill.(b) + 1)
+      keys;
+    t.pending <-
+      Some
+        {
+          keys;
+          start;
+          order;
+          home0 = t.next_home;
+          make;
+          built = Bytes.make t.nbins '\000';
+          unbuilt = !unbuilt;
+        };
+    t.next_home <- t.next_home + n;
+    t.n_elems <- t.n_elems + n
+  end
 
 (* -- crash repair --------------------------------------------------------- *)
 

@@ -177,6 +177,23 @@ val with_element : 'a t -> Ctx.t -> int -> ('a elem -> 'b) -> 'b option
 (** Untimed setup insertion (pre-populating before a run). *)
 val insert_untimed : 'a t -> int -> status0:int -> make:(int -> 'a) -> 'a elem
 
+(** [populate_untimed t keys ~make] is observably identical to calling
+    [insert_untimed t k ~status0:0 ~make] for each [k] of [keys] in array
+    order: same {!size}, chains, element homes, labels and simulated
+    timing of every later operation. The keys (the array is copied, and
+    may repeat) are only recorded, in a CSR index by bin; a bin's elements
+    are built the first time anything touches the bin — a search, insert,
+    remove, {!mem_untimed}, or {!iter_untimed} (which builds them all, as
+    does {!recover} through it). So a large table costs set-up time and
+    heap only for the bins a run actually uses.
+
+    [make] is called lazily, once per element, with the element's home
+    PMM, when its bin is first touched — possibly mid-simulation, in any
+    bin order. It must therefore be untimed (no simulated operations) and
+    depend only on the home it is given. Calling [populate_untimed] again
+    builds the previous batch's remaining bins first. *)
+val populate_untimed : 'a t -> int array -> make:(int -> 'a) -> unit
+
 (** Untimed iteration/membership, for tests and invariant checks. *)
 val iter_untimed : 'a t -> ('a elem -> unit) -> unit
 

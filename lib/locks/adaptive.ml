@@ -353,8 +353,12 @@ let recover t ctx =
       (fun () ->
         let machine = Ctx.machine ctx in
         if t.holder >= 0 && not (Machine.proc_alive machine t.holder) then begin
+          let corpse = t.holder in
           let ok = Lock_core.p_recover t.shapes.(t.holder_shape) ctx in
-          if ok then begin
+          (* The shape's recover yields and hands the shape on: the next
+             waiter may already have validated and recorded itself as
+             holder, and its hold must survive. *)
+          if ok && t.holder = corpse then begin
             t.holder <- -1;
             (* The window sampled a regime the crash just invalidated. *)
             t.w_acqs <- 0;

@@ -109,9 +109,9 @@ let run ?(cfg = Config.hector) ?(config = default_config) () =
     Khash.create machine ~granularity:Khash.Sharded ~nbins:config.nbins
       ~shards:config.shards ~vname:"slo" ~lock_algo:config.lock_algo ~homes
   in
-  for k = 0 to config.elements - 1 do
-    ignore (Khash.insert_untimed table k ~status0:0 ~make:(fun _ -> ()))
-  done;
+  Khash.populate_untimed table
+    (Array.init config.elements Fun.id)
+    ~make:(fun _ -> ());
   let rng0 = Rng.create config.seed in
   let rng_arrival = Rng.split rng0 in
   (* Open-loop arrival plan, generated up front so every server knows how

@@ -160,6 +160,23 @@ let test_clh_pump_rescue () =
     (crash_stress ~algo:Lock.Clh ~p:4 ~n_kills:2 ~iters:6 ~hold:7 ~think:30
        ~seed:4315)
 
+(* Regression: qcheck-found inputs where the morphing lock lost a live
+   holder. In [Adaptive.recover]'s validated-corpse arm the shape's
+   recover is a yielding simulated operation that hands the shape to the
+   next waiter; that waiter validated and recorded itself as holder
+   before [recover] resumed, and [recover] then wiped the holder word, so
+   the waiter's release failed its holder assertion. *)
+let test_adaptive_recover_keeps_successor () =
+  List.iter
+    (fun (p, n_kills, hold, seed) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "Adaptive survives (p=%d, kills=%d, hold=%d, seed=%d)" p
+           n_kills hold seed)
+        true
+        (crash_stress ~algo:Lock.adaptive ~p ~n_kills ~iters:6 ~hold ~think:30
+           ~seed))
+    [ (7, 3, 10, 5797); (4, 1, 6, 1070) ]
+
 let prop_crash_safety =
   QCheck.Test.make
     ~name:"every recoverable Lock.algo: safety under planted mid-CS kills"
@@ -223,16 +240,22 @@ let test_crash_storm () =
 
 (* -- structure repair: khash shard, seqlock, reserve bits -------------------- *)
 
-let test_khash_crash_repair () =
+(* Run on an eagerly filled table and on one filled by [populate_untimed],
+   where every bin but the victim's is still pending when [recover] runs
+   (its sweep builds them): the same repairs, and no key lost. *)
+let khash_crash_repair ~bulk =
   let eng = Engine.create () in
   let machine = Machine.create eng Config.hector in
   let t =
     Khash.create ~granularity:Khash.Sharded ~nbins:16 ~shards:4
       ~lock_algo:Lock.Mcs_original ~homes:[ 0; 4; 8; 12 ] machine
   in
-  for k = 0 to 9 do
-    ignore (Khash.insert_untimed t k ~status0:0 ~make:(fun _ -> ()))
-  done;
+  let keys = List.init 10 Fun.id in
+  if bulk then Khash.populate_untimed t (Array.of_list keys) ~make:(fun _ -> ())
+  else
+    List.iter
+      (fun k -> ignore (Khash.insert_untimed t k ~status0:0 ~make:(fun _ -> ())))
+      keys;
   let key = 5 in
   let s = Khash.shard_of_key t key in
   let rng = Rng.create 3 in
@@ -269,12 +292,20 @@ let test_khash_crash_repair () =
     (Seqlock.writes (Khash.seqlock t s));
   Alcotest.(check bool) "shard lock free" true
     ((Khash.shard_lock t s).Lock.is_free ());
+  let seen = ref [] in
+  Khash.iter_untimed t (fun e -> seen := e.Khash.key :: !seen);
+  Alcotest.(check (list int)) "no key lost" keys (List.sort compare !seen);
+  Alcotest.(check int) "size" (List.length keys) (Khash.size t);
   match !reserved with
   | None -> Alcotest.fail "reservation never taken"
   | Some e ->
     Alcotest.(check bool) "reserve bit swept" false
       (Reserve.write_reserved e.Khash.status);
     Alcotest.(check int) "owner bookkeeping cleared" (-1) e.Khash.reserver
+
+let test_khash_crash_repair () =
+  khash_crash_repair ~bulk:false;
+  khash_crash_repair ~bulk:true
 
 let test_repair_noops_on_the_living () =
   let eng = Engine.create () in
@@ -407,6 +438,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_crash_safety;
     Alcotest.test_case "CLH pump rescues a dead holder" `Quick
       test_clh_pump_rescue;
+    Alcotest.test_case "Adaptive recover keeps the successor's hold" `Quick
+      test_adaptive_recover_keeps_successor;
     Alcotest.test_case "crash storm: recovery conservation per algorithm"
       `Quick test_crash_storm;
     Alcotest.test_case "khash repair: shard lock, seqlock, reserve bit" `Quick

@@ -411,6 +411,123 @@ let prop_untimed_matches_inserted =
       List.sort compare !actual
       = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) expected []))
 
+(* -- bulk population ------------------------------------------------------- *)
+
+(* A table holding [pre] (inserted one by one) and then each batch of
+   [batches], either through one [populate_untimed] call per batch or an
+   eager [insert_untimed] loop. A second batch must land behind the first
+   in every chain. Four homes give two element homes, so the alternation
+   is checked. *)
+let populated ~granularity ~nbins ~pre ~batches ~bulk =
+  let eng = Engine.create () in
+  let machine = Machine.create eng Config.hector in
+  let table =
+    Khash.create machine ~granularity ~nbins ~shards:(min 3 nbins)
+      ~lock_algo:Lock.Mcs_h2 ~homes:[ 0; 1; 2; 3 ]
+  in
+  let make home = 1000 * home in
+  let insert k = ignore (Khash.insert_untimed table k ~status0:0 ~make) in
+  List.iter insert pre;
+  List.iter
+    (fun keys ->
+      if bulk then Khash.populate_untimed table (Array.of_list keys) ~make
+      else List.iter insert keys)
+    batches;
+  (eng, machine, table)
+
+(* Two processors each run lookup / with_element / timed insert / remove
+   over their probe keys; returns every operation's completion time. On a
+   populated table nothing has touched a bin before this runs, so the
+   first operations land on bins that are still pending. *)
+let run_script (eng, machine, table) ~probes ~absent =
+  let times = ref [] in
+  List.iteri
+    (fun p ks ->
+      let ctx = Ctx.create machine ~proc:p (Rng.create (70 + p)) in
+      let stamp () = times := (p, Ctx.now ctx) :: !times in
+      Process.spawn eng (fun () ->
+          List.iter
+            (fun k ->
+              ignore (Khash.lookup table ctx k);
+              stamp ();
+              ignore (Khash.with_element table ctx k (fun _ -> Ctx.work ctx 3));
+              stamp ();
+              ignore (Khash.insert table ctx absent ~make:(fun h -> h));
+              stamp ();
+              ignore (Khash.remove table ctx k);
+              stamp ())
+            ks))
+    probes;
+  Engine.run eng;
+  List.rev !times
+
+let contents table =
+  let acc = ref [] in
+  Khash.iter_untimed table (fun e ->
+      acc :=
+        ( e.Khash.key,
+          e.Khash.home,
+          e.Khash.payload,
+          Cell.label e.Khash.status,
+          Cell.peek e.Khash.status,
+          e.Khash.reserver )
+        :: !acc);
+  List.rev !acc
+
+let arb_population =
+  let open QCheck in
+  let key =
+    Gen.(
+      frequency
+        [
+          (8, int_range (-20) 20);
+          (1, oneofl [ min_int; min_int + 1; max_int ]);
+          (1, int);
+        ])
+  in
+  make
+    ~print:Print.(quad (list int) (list int) (list int) int)
+    Gen.(
+      quad
+        (list_size (int_range 0 4) key)
+        (list_size (int_range 0 40) key)
+        (list_size (int_range 0 8) key)
+        (oneofl [ 1; 3; 5; 7; 12; 13 ]))
+
+let prop_populate_matches_eager =
+  QCheck.Test.make
+    ~name:"populate_untimed = insert_untimed loop, every granularity"
+    ~count:50 arb_population (fun (pre, keys, more, nbins) ->
+      let batches = [ keys; more ] in
+      let keys = keys @ more in
+      let distinct = List.sort_uniq compare keys in
+      let absent =
+        List.find
+          (fun k -> not (List.mem k keys || List.mem k pre))
+          [ 12345; -999; 77777 ]
+      in
+      let probes =
+        [
+          absent :: List.filteri (fun i _ -> i mod 2 = 0 && i < 6) distinct;
+          List.filteri (fun i _ -> i mod 2 = 1 && i < 6) distinct;
+        ]
+      in
+      List.for_all
+        (fun granularity ->
+          let build bulk = populated ~granularity ~nbins ~pre ~batches ~bulk in
+          let ((_, _, eager) as e) = build false in
+          let ((_, _, lazy_) as l) = build true in
+          let size_before = Khash.size lazy_ = Khash.size eager in
+          let times_e = run_script e ~probes ~absent in
+          let times_l = run_script l ~probes ~absent in
+          let mem t = List.map (Khash.mem_untimed t) (absent :: pre @ keys) in
+          size_before && times_e = times_l
+          && Khash.size lazy_ = Khash.size eager
+          && Khash.probes lazy_ = Khash.probes eager
+          && mem lazy_ = mem eager
+          && contents lazy_ = contents eager)
+        [ Khash.Hybrid; Khash.Coarse; Khash.Fine; Khash.Sharded ])
+
 let suite =
   [
     Alcotest.test_case "insert and find" `Quick test_insert_and_find;
@@ -443,4 +560,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sharded_mutual_exclusion;
     QCheck_alcotest.to_alcotest prop_sharded_optimistic_lookup_consistency;
     QCheck_alcotest.to_alcotest prop_untimed_matches_inserted;
+    QCheck_alcotest.to_alcotest prop_populate_matches_eager;
   ]
