@@ -1,10 +1,10 @@
 (* hurricane_sim — command-line driver for the HURRICANE locking simulator.
 
    Subcommands expose the building blocks individually (lock stress, fault
-   tests, calibration, destruction storms) with tunable parameters, so a
-   user can explore configurations beyond the paper's figures. The `figure`
-   subcommand regenerates a named table/figure exactly as the benchmark
-   harness does. *)
+   tests, destruction storms) with tunable parameters, so a user can
+   explore configurations beyond the paper's figures. The `figure`
+   subcommand regenerates any registered experiment ({!Experiments.all})
+   exactly as the benchmark harness does. *)
 
 open Cmdliner
 open Hurricane
@@ -147,15 +147,6 @@ let faults_cmd =
     (Cmd.info "faults"
        ~doc:"Run a page-fault stress test on the simulated kernel (Figure 7).")
     Term.(const run $ algo_arg $ procs_arg $ cluster_arg $ shared $ seed_arg)
-
-(* -- calibrate subcommand --------------------------------------------------- *)
-
-let calibrate_cmd =
-  let run () = Report.constants ppf (Experiments.constants ()) in
-  Cmd.v
-    (Cmd.info "calibrate"
-       ~doc:"Measure the absolute cost anchors (fault, RPC, replication).")
-    Term.(const run $ const ())
 
 (* -- destroy subcommand ------------------------------------------------------ *)
 
@@ -384,30 +375,6 @@ let storm_cmd =
       const run $ mech $ workers $ stall_every $ stall $ drop $ delay
       $ use_verify $ seed_arg)
 
-(* -- verify subcommand --------------------------------------------------------- *)
-
-let verify_cmd =
-  let run () =
-    let rows = Experiments.verify_suite () in
-    Report.verify ppf rows;
-    if List.for_all (fun r -> r.Experiments.vok) rows then begin
-      Format.fprintf ppf "verify: all probes behaved as planted@.";
-      exit 0
-    end
-    else begin
-      Format.eprintf "verify: FAILED — see the rows marked FAIL above@.";
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:
-         "Run the lockdep checker against the planted-violation probes \
-          (inverted lock order, leaked reserve bit, interrupt-context spin, \
-          stalled holder, true deadlock, plus a clean storm that must stay \
-          silent). Exits non-zero if any probe misbehaves.")
-    Term.(const run $ const ())
-
 (* -- trace subcommand -------------------------------------------------------- *)
 
 let trace_cmd =
@@ -447,7 +414,8 @@ let trace_cmd =
       out
       (List.length (Obs.trace obs))
       (Obs.trace_recorded obs) (Obs.trace_dropped obs);
-    Report.obs ppf { Experiments.obs_rows = Obs.profile_rows obs; obs_storm = r }
+    Experiments.report ppf Experiments.obs
+      [ { Experiments.obs_rows = Obs.profile_rows obs; obs_storm = r } ]
   in
   let out =
     Arg.(
@@ -1031,52 +999,31 @@ let adaptive_cmd =
 
 let figure_cmd =
   let run name =
-    match name with
-    | "fig4" -> Report.fig4 ppf (Experiments.fig4 ())
-    | "uncontended" -> Report.uncontended ppf (Experiments.uncontended ())
-    | "fig5a" -> Report.fig5 ppf ~name:"FIG5a" ~hold_us:0.0 (Experiments.fig5a ())
-    | "fig5b" ->
-      Report.fig5 ppf ~name:"FIG5b" ~hold_us:25.0 (Experiments.fig5b ())
-    | "starvation" -> Report.starvation ppf (Experiments.starvation ())
-    | "fig7a" ->
-      Report.fig7 ppf ~name:"FIG7a" ~xlabel:"p" ~claim:"(see bench)"
-        (Experiments.fig7a ())
-    | "fig7b" ->
-      Report.fig7 ppf ~name:"FIG7b" ~xlabel:"p" ~claim:"(see bench)"
-        (Experiments.fig7b ())
-    | "fig7c" ->
-      Report.fig7 ppf ~name:"FIG7c" ~xlabel:"cluster" ~claim:"(see bench)"
-        (Experiments.fig7c ())
-    | "fig7d" ->
-      Report.fig7 ppf ~name:"FIG7d" ~xlabel:"cluster" ~claim:"(see bench)"
-        (Experiments.fig7d ())
-    | "constants" -> Report.constants ppf (Experiments.constants ())
-    | "retries" -> Report.retries ppf (Experiments.retries ())
-    | "trylock" -> Report.trylock ppf (Experiments.trylock ())
-    | "classes" -> Report.classes ppf (Experiments.classes ())
-    | "cow" -> Report.cow ppf (Experiments.cow ())
-    | "fault-matrix" -> Report.fault_matrix ppf (Experiments.fault_matrix ())
-    | "verify" -> Report.verify ppf (Experiments.verify_suite ())
-    | "obs" -> Report.obs ppf (Experiments.obs_profile ())
-    | "numa" -> Report.numa_locks ppf (Experiments.numa_locks ())
-    | "hash" -> Report.hash_scaling ppf (Experiments.hash_scaling ())
-    | "abort-storm" -> Report.abort_storm ppf (Experiments.abort_storm ())
-    | "crash-storm" -> Report.crash_storm ppf (Experiments.crash_storm ())
-    | "rw" -> Report.rw_scaling ppf (Experiments.rw_scaling ())
-    | "slo" -> Report.slo ppf (Experiments.slo ())
-    | "adaptive" -> Report.adaptive ppf (Experiments.adaptive ())
-    | other ->
-      Format.eprintf "unknown figure %S@." other;
+    match Experiments.find name with
+    | None ->
+      Format.eprintf "unknown figure %S; available: %s@." name
+        (String.concat ", " (List.map Experiments.name Experiments.all));
       exit 2
+    | Some e ->
+      let failures = Experiments.print_all ppf [ e ] in
+      List.iter (Format.eprintf "check failed: %s@.") failures;
+      if failures <> [] then exit 1
   in
   let name_arg =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"FIGURE" ~doc:"fig4, uncontended, fig5a, fig5b, ...")
+      & info [] ~docv:"FIGURE"
+          ~doc:
+            "Experiment name, as for bench/main.exe: fig4, uncontended, \
+             fig5a, ..., constants, verify, numa_locks, ...")
   in
   Cmd.v
-    (Cmd.info "figure" ~doc:"Regenerate one of the paper's tables/figures.")
+    (Cmd.info "figure"
+       ~doc:
+         "Regenerate one of the paper's tables/figures, or an ablation or \
+          extension experiment, exactly as bench/main.exe prints it. Exits \
+          non-zero if any of its acceptance checks fails.")
     Term.(const run $ name_arg)
 
 let main_cmd =
@@ -1086,11 +1033,9 @@ let main_cmd =
     [
       locks_cmd;
       faults_cmd;
-      calibrate_cmd;
       destroy_cmd;
       sweep_cmd;
       storm_cmd;
-      verify_cmd;
       trace_cmd;
       numa_cmd;
       abort_cmd;

@@ -1,8 +1,12 @@
-(** Machine-readable benchmark export: runs the paper experiments and
-    renders their in-process results as one schema-stable JSON document
-    ([bench/main.exe -- --json] writes it to [BENCH_results.json]), so the
-    perf trajectory can be tracked across PRs by tooling instead of by
-    reading text tables.
+(** Machine-readable benchmark export: [bench/main.exe -- --json] writes
+    [BENCH_results.json], one schema-stable JSON document, so the perf
+    trajectory can be tracked across PRs by tooling instead of by reading
+    text tables.
+
+    The exported experiments are the {!Experiments.all} entries that carry
+    a JSON encoder, in registry order; this module only fans their cells
+    out over {!Par.map}, reassembles the rows, stamps the schema header and
+    writes the file. Each entry's encoder fixes its own value's shape.
 
     Schema (version {!schema_version}):
     {v
@@ -85,26 +89,19 @@
     schema test re-runs an experiment and compares the parsed file against
     it. *)
 
-open Hector
-
 val schema_version : int
 
-(** ["fig4"; "uncontended"; "fig5a"; "fig5b"; "starvation"; "fig7a"-"d";
-    "constants"; "numa_locks"; "hash_scaling"; "abort_storm";
-    "crash_storm"; "rw_scaling"; "slo"; "adaptive"] — what a bare [--json]
-    exports. *)
-val default_names : string list
-
-(** Build the document for the named experiments (unknown names raise
-    [Invalid_argument]). The sweep knobs ([procs]/[sizes]/[iters]/[rounds])
-    default to the paper's full settings; tests and CI pass reduced ones
-    through the same code path. [jobs] runs the independent experiment
-    cells on that many OCaml domains via {!Par.map}; the document is
-    byte-identical to a [jobs = 1] run (each cell owns its Engine, Machine
-    and seeded Rng, and fragments are reassembled in the sequential
-    order). *)
+(** Run the named experiments (every exported one when [names] is empty)
+    and build the document, plus every failed acceptance check
+    ({!Experiments.failures}) of the rows it encodes. Unknown names, and
+    experiments without an encoder, raise [Invalid_argument] before any
+    cell runs. The sweep knobs ({!Experiments.knobs}) default to the
+    paper's full settings; tests pass reduced ones through the same code
+    path. [jobs] runs the independent cells on that many OCaml domains via
+    {!Par.map}; the document is byte-identical to a [jobs = 1] run (each
+    cell owns its Engine, Machine and seeded Rng, and rows are reassembled
+    in the sequential order). *)
 val document :
-  ?cfg:Config.t ->
   ?procs:int list ->
   ?sizes:int list ->
   ?iters:int ->
@@ -112,7 +109,10 @@ val document :
   ?jobs:int ->
   names:string list ->
   unit ->
-  Json.t
+  Json.t * string list
 
-(** [write ~path doc] serialises with a trailing newline. *)
-val write : path:string -> Json.t -> unit
+(** [export ~path ~names ()] writes the full-size {!document} to [path]
+    with a trailing newline, reads it back, and returns the failed checks:
+    the experiments' own, plus ["<path>: schema"] when the file lacks the
+    schema version, the ["us"] latency unit, or a requested experiment. *)
+val export : ?jobs:int -> path:string -> names:string list -> unit -> string list

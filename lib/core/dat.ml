@@ -2,10 +2,9 @@
 
    `bench/main.exe --dat DIR` writes one file per figure plus a gnuplot
    script that renders them; columns are tab-separated with a commented
-   header, so any plotting tool can read them. *)
-
-open Locks
-open Workloads
+   header, so any plotting tool can read them. The series are read from
+   the figures' own JSON export values ({!Bench_json}), so the plotted
+   numbers are the exported ones. *)
 
 let write_file dir name lines =
   let path = Filename.concat dir name in
@@ -18,54 +17,22 @@ let write_file dir name lines =
   close_out oc;
   path
 
-(* Figure 5 series: p vs mean latency per algorithm. *)
-let fig5 dir ~name (series : Experiments.fig5_series list) =
-  let header =
-    "# p\t"
-    ^ String.concat "\t"
-        (List.map
-           (fun (s : Experiments.fig5_series) ->
-             Lock.algo_name s.Experiments.algo)
-           series)
-  in
-  let xs =
-    match series with
-    | s :: _ -> List.map fst s.Experiments.points
-    | [] -> []
-  in
-  let row p =
-    string_of_int p
-    ^ "\t"
-    ^ String.concat "\t"
-        (List.map
-           (fun (s : Experiments.fig5_series) ->
-             let r =
-               (* Each series swept the same processor counts; a missing
-                  point means a runner bug, and a bare [Not_found] from
-                  deep inside the emitter names neither the figure nor
-                  the hole. *)
-               try List.assoc p s.Experiments.points
-               with Not_found ->
-                 failwith
-                   (Printf.sprintf
-                      "Dat.fig5 (%s): series %s has no point at p=%d" name
-                      (Lock.algo_name s.Experiments.algo) p)
-             in
-             Printf.sprintf "%.2f" r.Lock_stress.summary.Measure.mean_us)
-           series)
-  in
-  write_file dir (name ^ ".dat") (header :: List.map row xs)
+let to_list = function Json.List l -> l | _ -> failwith "Dat: not a list"
+let to_string = function Json.String s -> s | _ -> failwith "Dat: not a string"
+let to_int = function Json.Int i -> i | _ -> failwith "Dat: not an int"
+let to_float = function Json.Float f -> f | _ -> failwith "Dat: not a float"
 
-(* Figure 7 series: x vs mean latency per lock algorithm. *)
-let fig7 dir ~name (series : Experiments.fig7_series list) =
-  let header =
-    "# x\t"
-    ^ String.concat "\t"
-        (List.map (fun s -> Lock.algo_name s.Experiments.lock_algo) series)
-  in
+(* One figure's series: x (FIG5's p, FIG7's x) vs mean latency per
+   algorithm. *)
+let figure dir ~name value =
+  let key = if Json.member value "xlabel" = None then "p" else "x" in
+  let series = to_list (Json.get value "series") in
+  let algo s = to_string (Json.get s "algo") in
+  let header = "# " ^ key ^ "\t" ^ String.concat "\t" (List.map algo series) in
   let xs =
     match series with
-    | s :: _ -> List.map (fun p -> p.Experiments.x) s.Experiments.series
+    | s :: _ ->
+      List.map (fun pt -> to_int (Json.get pt key)) (to_list (Json.get s "points"))
     | [] -> []
   in
   let row x =
@@ -74,16 +41,20 @@ let fig7 dir ~name (series : Experiments.fig7_series list) =
     ^ String.concat "\t"
         (List.map
            (fun s ->
-             let p =
+             let pt =
+               (* Each series swept the same x values; a missing point means
+                  a runner bug, and a bare [Not_found] from deep inside the
+                  emitter names neither the figure nor the hole. *)
                try
-                 List.find (fun p -> p.Experiments.x = x) s.Experiments.series
+                 List.find
+                   (fun pt -> to_int (Json.get pt key) = x)
+                   (to_list (Json.get s "points"))
                with Not_found ->
                  failwith
-                   (Printf.sprintf
-                      "Dat.fig7 (%s): series %s has no point at x=%d" name
-                      (Lock.algo_name s.Experiments.lock_algo) x)
+                   (Printf.sprintf "Dat.figure (%s): series %s has no point at %s=%d"
+                      name (algo s) key x)
              in
-             Printf.sprintf "%.2f" p.Experiments.mean_us)
+             Printf.sprintf "%.2f" (to_float (Json.get pt "mean_us")))
            series)
   in
   write_file dir (name ^ ".dat") (header :: List.map row xs)
@@ -120,15 +91,8 @@ let gnuplot_script dir =
 (* Run every figure and drop its data into [dir]. *)
 let write_all dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let written =
-    [
-      fig5 dir ~name:"fig5a" (Experiments.fig5a ());
-      fig5 dir ~name:"fig5b" (Experiments.fig5b ());
-      fig7 dir ~name:"fig7a" (Experiments.fig7a ());
-      fig7 dir ~name:"fig7b" (Experiments.fig7b ());
-      fig7 dir ~name:"fig7c" (Experiments.fig7c ());
-      fig7 dir ~name:"fig7d" (Experiments.fig7d ());
-      gnuplot_script dir;
-    ]
-  in
-  written
+  let names = [ "fig5a"; "fig5b"; "fig7a"; "fig7b"; "fig7c"; "fig7d" ] in
+  let doc, _ = Bench_json.document ~names () in
+  let exps = Json.get doc "experiments" in
+  List.map (fun name -> figure dir ~name (Json.get exps name)) names
+  @ [ gnuplot_script dir ]

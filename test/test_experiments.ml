@@ -181,16 +181,22 @@ let test_retry_strategies () =
   Alcotest.(check bool) "retries common under both (paper 2.5)" true
     (opt.Destruction.retries > 0 && pes.Destruction.retries > 0)
 
-(* Section 5.2 / ABL3: CAS releases shrink the contended differential. *)
+(* Section 5.2 / ABL3: CAS releases shrink the contended differential.
+   The ablation's p = 16, hold 0 contended stress on HECTOR, with and
+   without compare&swap. *)
 let test_cas_ablation () =
-  let rows = Hurricane.Experiments.ablation_cas () in
-  let contended r = r.Hurricane.Experiments.contended_p16_us in
-  match rows with
-  | [ swap_h2; cas_h2; cas_release ] ->
-    Alcotest.(check bool) "CAS-release beats F&S repair under contention" true
-      (contended cas_release < contended cas_h2
-      && contended cas_release < contended swap_h2)
-  | _ -> Alcotest.fail "unexpected row count"
+  let contended cfg algo =
+    mean
+      (Lock_stress.run ~cfg
+         ~config:{ Lock_stress.default_config with p = 16; hold_us = 0.0 }
+         algo)
+  in
+  let cas = Hector.Config.with_cas Hector.Config.hector in
+  let swap_h2 = contended Hector.Config.hector Lock.Mcs_h2 in
+  let cas_h2 = contended cas Lock.Mcs_h2 in
+  let cas_release = contended cas Lock.Mcs_cas in
+  Alcotest.(check bool) "CAS-release beats F&S repair under contention" true
+    (cas_release < cas_h2 && cas_release < swap_h2)
 
 (* Section 3.2 / TRY: distributed-lock TryLock starves; deferred work wins. *)
 let test_trylock_claims () =
@@ -229,54 +235,49 @@ let test_granularity_ablation () =
    machine is busy (p >= 8) for every shard count, and the seqlock
    optimistic read path undercuts locked lookups at a 90% read ratio. *)
 let test_hash_scaling_claims () =
-  let open Hurricane.Experiments in
-  let rows =
-    hash_scaling ~procs:[ 8; 16 ] ~read_ratios:[ 0.5; 0.9 ]
-      ~shard_counts:[ 2; 4; 8 ] ()
+  let s = Hurricane.Experiments.hash_scaling in
+  let rows = List.concat_map (s.run Hurricane.Experiments.paper) [ 8; 16 ] in
+  let sharded (_, _, (r : Hash_scaling.result)) =
+    r.granularity = Hkernel.Khash.Sharded
   in
-  let hybrid p rr =
-    List.find
-      (fun r ->
-        r.hgran = Hkernel.Khash.Hybrid && r.hp = p && r.hread_ratio = rr)
-      rows
+  let thr (_, _, (r : Hash_scaling.result)) = r.throughput_ops_ms in
+  let read_us (_, _, (r : Hash_scaling.result)) =
+    r.read_summary.Measure.mean_us
   in
   List.iter
-    (fun r ->
-      if r.hgran = Hkernel.Khash.Sharded then begin
-        let base = hybrid r.hp r.hread_ratio in
+    (fun ((p, rr, (r : Hash_scaling.result)) as row) ->
+      if sharded row then begin
+        let base =
+          List.find
+            (fun ((p', rr', _) as b) -> (not (sharded b)) && p' = p && rr' = rr)
+            rows
+        in
         Alcotest.(check bool)
           (Printf.sprintf
              "sharded (s=%d opt=%b p=%d rr=%.1f) %.1f ops/ms beats hybrid %.1f"
-             r.hshards r.hoptimistic r.hp r.hread_ratio r.hthroughput
-             base.hthroughput)
+             r.shards r.optimistic p rr (thr row) (thr base))
           true
-          (r.hthroughput > base.hthroughput)
+          (thr row > thr base)
       end)
     rows;
   List.iter
-    (fun r ->
-      if
-        r.hgran = Hkernel.Khash.Sharded && r.hoptimistic
-        && r.hread_ratio = 0.9
-      then begin
+    (fun ((p, rr, (r : Hash_scaling.result)) as row) ->
+      if sharded row && r.optimistic && rr = 0.9 then begin
         let locked =
           List.find
-            (fun l ->
-              l.hgran = Hkernel.Khash.Sharded
-              && (not l.hoptimistic)
-              && l.hshards = r.hshards && l.hp = r.hp
-              && l.hread_ratio = r.hread_ratio)
+            (fun ((p', rr', (l : Hash_scaling.result)) as lrow) ->
+              sharded lrow && (not l.optimistic) && l.shards = r.shards
+              && p' = p && rr' = rr)
             rows
         in
         Alcotest.(check bool)
           (Printf.sprintf "optimistic reads (s=%d p=%d) %.1fus beat locked %.1fus"
-             r.hshards r.hp r.hread_mean_us locked.hread_mean_us)
+             r.shards p (read_us row) (read_us locked))
           true
-          (r.hread_mean_us < locked.hread_mean_us);
+          (read_us row < read_us locked);
         Alcotest.(check bool)
-          (Printf.sprintf "optimistic path actually taken (s=%d p=%d)" r.hshards
-             r.hp)
-          true (r.hopt_hits > 0)
+          (Printf.sprintf "optimistic path actually taken (s=%d p=%d)" r.shards p)
+          true (r.optimistic_hits > 0)
       end)
     rows
 

@@ -275,14 +275,12 @@ let test_counter_workload_modes_agree () =
 (* -- claim-level checks for the new ablations -------------------------------------------- *)
 
 let test_clh_vs_mcs_claim () =
-  let rows = Hurricane.Experiments.ablation_clh () in
+  let rows = Hurricane.Experiments.(rows ablation_clh) in
   let find machine algo =
-    (List.find
-       (fun (r : Hurricane.Experiments.abl4_row) ->
-         r.Hurricane.Experiments.machine4 = machine
-         && r.Hurricane.Experiments.algo4 = algo)
-       rows)
-      .Hurricane.Experiments.contended_us
+    let _, _, us =
+      List.find (fun (m, a, _) -> m = machine && a = algo) rows
+    in
+    us
   in
   Alcotest.(check bool) "CLH hurts on non-coherent HECTOR" true
     (find "hector" Lock.Clh > find "hector" Lock.Mcs_h1 *. 1.5);
@@ -290,14 +288,12 @@ let test_clh_vs_mcs_claim () =
     (find "numachine" Lock.Clh < find "numachine" Lock.Mcs_h1 *. 1.25)
 
 let test_cached_locks_claim () =
-  let rows = Hurricane.Experiments.ablation_cached_locks () in
+  let rows = Hurricane.Experiments.(rows ablation_cached_locks) in
   let pair machine =
-    (List.find
-       (fun (r : Hurricane.Experiments.abl5_row) ->
-         r.Hurricane.Experiments.machine5 = machine
-         && r.Hurricane.Experiments.algo5 = Lock.Mcs_h2)
-       rows)
-      .Hurricane.Experiments.pair_us
+    let _, _, us, _ =
+      List.find (fun (m, a, _, _) -> m = machine && a = Lock.Mcs_h2) rows
+    in
+    us
   in
   Alcotest.(check bool) "cached pair is an order of magnitude cheaper" true
     (pair "numachine" < pair "hector" /. 8.0)

@@ -159,16 +159,14 @@ let test_four_classes_shape () =
     (r.Four_classes.replications >= 16)
 
 let test_lock_family_ablation_runs () =
-  let rows = Hurricane.Experiments.ablation_lock_family () in
+  let rows = Hurricane.Experiments.(rows ablation_lock_family) in
   Alcotest.(check int) "all six algorithms" 6 (List.length rows);
   List.iter
-    (fun (r : Hurricane.Experiments.abl9_row) ->
+    (fun (algo, unc_us, contended12_us, _) ->
       Alcotest.(check bool)
-        (Lock.algo_name r.Hurricane.Experiments.algo9 ^ " sane")
+        (Lock.algo_name algo ^ " sane")
         true
-        (r.Hurricane.Experiments.unc_us > 0.0
-        && r.Hurricane.Experiments.contended12_us
-           > r.Hurricane.Experiments.unc_us))
+        (unc_us > 0.0 && contended12_us > unc_us))
     rows
 
 let suite =

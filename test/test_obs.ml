@@ -301,8 +301,11 @@ let test_observer_identity () =
     (Obs.trace_recorded o > 0)
 
 let test_storm_attribution () =
-  let r = Experiments.obs_profile () in
-  let rows = r.Experiments.obs_rows in
+  let rows =
+    List.concat_map
+      (fun r -> r.Experiments.obs_rows)
+      Experiments.(rows obs)
+  in
   (* The storm's coarse locks, reserve bits and RPCs must all appear, with
      waiting attributed to the lock classes... *)
   let mcs = find_row rows "mcs" in
@@ -357,9 +360,11 @@ let test_bench_json_schema () =
       "crash_storm";
     ]
   in
-  let doc =
+  let doc, failures =
     Bench_json.document ~procs:[ 2 ] ~sizes:[ 4 ] ~iters:5 ~rounds:2 ~names ()
   in
+  Alcotest.(check (list string)) "every acceptance check passes" [] failures;
+  Alcotest.(check int) "schema version" 8 Bench_json.schema_version;
   Alcotest.(check bool) "document round trips" true
     (Json.of_string (Json.to_string doc) = doc);
   Alcotest.(check bool) "schema_version" true
@@ -374,7 +379,7 @@ let test_bench_json_schema () =
   (* fig4: rows equal the in-process model (which is deterministic). *)
   (match Json.get exps "fig4" with
   | Json.List rows ->
-    let direct = Experiments.fig4 () in
+    let direct = Experiments.(rows fig4) in
     Alcotest.(check int) "fig4 rows" (List.length direct) (List.length rows);
     List.iter2
       (fun row (d : Experiments.fig4_row) ->
@@ -392,7 +397,7 @@ let test_bench_json_schema () =
   (* uncontended: measured latencies equal a direct deterministic rerun. *)
   (match Json.get exps "uncontended" with
   | Json.List rows ->
-    let direct = Experiments.uncontended () in
+    let direct = Uncontended.run_all () in
     List.iter2
       (fun row (d : Uncontended.result) ->
         Alcotest.(check bool) "unc algo" true
@@ -407,22 +412,19 @@ let test_bench_json_schema () =
      clean after the drain). *)
   (match Json.get exps "abort_storm" with
   | Json.List rows ->
-    let direct = Experiments.abort_storm () in
+    let direct = List.map Abort_storm.run Experiments.numa_algos in
     Alcotest.(check int) "abort rows" (List.length direct) (List.length rows);
     List.iter2
-      (fun row (d : Experiments.abort_point) ->
+      (fun row (d : Abort_storm.result) ->
         Alcotest.(check bool) "abort algo" true
-          (Json.get row "algo"
-          = Json.String (Locks.Lock.algo_name d.Experiments.aalgo));
-        Alcotest.(check int) "abort aborts" d.Experiments.aaborts
+          (Json.get row "algo" = Json.String (Locks.Lock.algo_name d.algo));
+        Alcotest.(check int) "abort aborts" d.aborts
           (match Json.get row "aborts" with Json.Int i -> i | _ -> -1);
-        Alcotest.(check (float 0.0)) "abort bound ratio"
-          d.Experiments.abound_ratio
+        Alcotest.(check (float 0.0)) "abort bound ratio" d.bound_ratio
           (get_float row "bound_ratio");
         Alcotest.(check bool) "abort final free" true
           (Json.get row "final_free" = Json.Bool true);
-        Alcotest.(check bool) "abort remote aborts" true
-          (d.Experiments.aremote_aborts > 0))
+        Alcotest.(check bool) "abort remote aborts" true (d.remote_aborts > 0))
       rows direct
   | _ -> Alcotest.fail "abort_storm not a list");
   (* crash_storm: rows equal a direct deterministic rerun, and carry the
@@ -430,19 +432,18 @@ let test_bench_json_schema () =
      forced release with zero violations, lock free after the drain). *)
   (match Json.get exps "crash_storm" with
   | Json.List rows ->
-    let direct = Experiments.crash_storm () in
+    let direct = Experiments.(rows crash_storm) in
     Alcotest.(check int) "crash rows" (List.length direct) (List.length rows);
     List.iter2
-      (fun row (d : Experiments.crash_point) ->
+      (fun row (d : Crash_storm.result) ->
         Alcotest.(check bool) "crash algo" true
-          (Json.get row "algo"
-          = Json.String (Locks.Lock.algo_name d.Experiments.calgo));
-        Alcotest.(check int) "crash kills" d.Experiments.ckills
+          (Json.get row "algo" = Json.String (Locks.Lock.algo_name d.algo));
+        Alcotest.(check int) "crash kills" d.kills
           (match Json.get row "kills" with Json.Int i -> i | _ -> -1);
-        Alcotest.(check int) "crash recovery samples" d.Experiments.ckills
+        Alcotest.(check int) "crash recovery samples" d.kills
           (match Json.get row "recovery_n" with Json.Int i -> i | _ -> -1);
         Alcotest.(check (float 0.0)) "crash recovery p99"
-          d.Experiments.crec_p99_us
+          d.recovery.Measure.p99_us
           (get_float row "recovery_p99_us");
         Alcotest.(check bool) "crash zero violations" true
           (Json.get row "lockdep_violations" = Json.Int 0);
@@ -451,16 +452,27 @@ let test_bench_json_schema () =
       rows direct
   | _ -> Alcotest.fail "crash_storm not a list");
   (* fig5a on the same knobs: series values equal the in-process sweep. *)
-  let direct5 = Experiments.fig5a ~procs:[ 2 ] () in
+  let direct5 =
+    List.map
+      (fun algo ->
+        ( algo,
+          Lock_stress.run
+            ~config:
+              { Lock_stress.default_config with p = 2; window_us = 20_000.0 }
+            algo ))
+      Locks.Lock.all_paper_algos
+  in
   match Json.get (Json.get exps "fig5a") "series" with
   | Json.List series ->
     Alcotest.(check int) "fig5a series count" (List.length direct5)
       (List.length series);
     List.iter2
-      (fun s (d : Experiments.fig5_series) ->
-        match (Json.get s "points", d.Experiments.points) with
-        | Json.List [ point ], [ (p, r) ] ->
-          Alcotest.(check bool) "fig5a p" true (Json.get point "p" = Json.Int p);
+      (fun s (algo, (r : Lock_stress.result)) ->
+        Alcotest.(check bool) "fig5a algo" true
+          (Json.get s "algo" = Json.String (Locks.Lock.algo_name algo));
+        match Json.get s "points" with
+        | Json.List [ point ] ->
+          Alcotest.(check bool) "fig5a p" true (Json.get point "p" = Json.Int 2);
           Alcotest.(check (float 0.0)) "fig5a mean"
             r.Lock_stress.summary.Measure.mean_us
             (get_float point "mean_us")
