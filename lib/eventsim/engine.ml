@@ -7,7 +7,10 @@
    The dispatch loop is allocation-free: it reads the earliest timestamp with
    [Pqueue.min_time] (an int, [max_int] when drained) and takes the thunk
    with [Pqueue.pop_payload], so sustained runs cost the heap sift plus the
-   thunk itself and nothing else. *)
+   thunk itself and nothing else. The heap sifts int columns only and keeps
+   each thunk in a fixed slot, so an event pays the write barrier once when
+   it is scheduled and once when it is taken, whatever the queue depth.
+   Freed slots hold the static [nop] thunk. *)
 
 exception Deadlock of string
 
@@ -19,8 +22,16 @@ type t = {
   mutable max_events : int; (* safety valve against runaway simulations *)
 }
 
+let nop () = ()
+
 let create ?(max_events = 200_000_000) () =
-  { now = 0; seq = 0; events = Pqueue.create (); executed = 0; max_events }
+  {
+    now = 0;
+    seq = 0;
+    events = Pqueue.create ~filler:nop ();
+    executed = 0;
+    max_events;
+  }
 
 let now t = t.now
 
@@ -61,14 +72,15 @@ let run ?until t =
   (* [Pqueue.min_time] reads the earliest timestamp as a bare int, so the
      loop condition is two comparisons and allocates nothing. *)
   let limit = match until with None -> max_int | Some l -> l in
-  if t.executed > t.max_events then budget_exhausted t;
   while (not (Pqueue.is_empty t.events)) && Pqueue.min_time t.events <= limit do
+    (* Refuse the event that would exceed the budget, so exactly
+       [max_events] run. *)
+    if t.executed >= t.max_events then budget_exhausted t;
     let time = Pqueue.min_time t.events in
     let f = Pqueue.pop_payload t.events in
     t.now <- time;
     t.executed <- t.executed + 1;
-    f ();
-    if t.executed > t.max_events then budget_exhausted t
+    f ()
   done;
   match until with
   | Some limit when t.now < limit && Pqueue.is_empty t.events -> t.now <- limit

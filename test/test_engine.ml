@@ -77,7 +77,9 @@ let test_event_budget () =
   forever ();
   Alcotest.check_raises "budget"
     (Engine.Deadlock "event budget exhausted (100 events executed)")
-    (fun () -> Engine.run eng)
+    (fun () -> Engine.run eng);
+  Alcotest.(check int) "exactly the budget ran" 100
+    (Engine.events_executed eng)
 
 let test_negative_delay_rejected () =
   let eng = Engine.create () in
