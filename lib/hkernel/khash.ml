@@ -653,10 +653,10 @@ let recover t ctx =
       bump (lk.Lock.recover ctx))
     t.shard_locks;
   bump (t.lock.Lock.recover ctx);
-  Array.iter (fun l -> bump (Spin_lock.Core.recover l ctx)) t.bin_locks;
+  Array.iter (fun l -> bump (Spin_lock.recover l ctx)) t.bin_locks;
   iter_untimed t (fun e ->
       (match e.elem_lock with
-      | Some l -> bump (Spin_lock.Core.recover l ctx)
+      | Some l -> bump (Spin_lock.recover l ctx)
       | None -> ());
       if e.reserver >= 0 && not (Machine.proc_alive t.machine e.reserver)
       then begin

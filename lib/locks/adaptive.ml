@@ -34,28 +34,39 @@
 
 open Hector
 
-(* Shape indices. *)
+(* Shape indices, in promotion order. *)
 let shape_ts = 0
 let shape_queue = 1
 let shape_numa = 2
 let n_shapes = 3
 
-let shape_name = function
-  | 0 -> "ts"
-  | 1 -> "queue"
-  | _ -> "numa"
+(* The window is deliberately short: a regime change is only visible
+   through acquisitions that *complete*, and the shape that most needs
+   replacing (a saturated test&set) completes them slowest — a long
+   window would leave the lock stuck in its worst shape for most of a
+   load spike. Eight acquisitions is enough to estimate the contended
+   fraction against thresholds this coarse. *)
+let window = 8
+let up_contended = 0.5
+let down_contended = 0.15
+let up_remote = 0.4
+
+(* An acquisition also counts as contended when the shape-level acquire
+   took longer than this. The instantaneous sample (holder set, or the
+   shape reports waiters) misses the shape that most needs replacing: a
+   backed-off test&set lock has no queue to inspect and its word is free
+   for most of the wall-clock time between hand-offs, so a saturated
+   spin shape looks idle at route time. The threshold sits above the
+   family's uncontended acquire costs (a few µs) and far below a
+   saturated wait (tens of µs). *)
+let contended_wait_us = 10.0
 
 type t = {
-  name : string;
-  shapes : Lock_core.packed array; (* [| ts; queue; numa |] *)
+  shapes : Lock_core.t array; (* [| ts; queue; numa |] *)
   current : Cell.t; (* the mode word: index of the active shape *)
   topo : Lock_core.topo;
-  (* policy: sliding window of acquisitions and its thresholds *)
-  window : int;
-  up_contended : float;
-  down_contended : float;
-  up_remote : float;
   wait_threshold : int; (* cycles; a slower acquire counts as contended *)
+  (* policy: sliding window of acquisitions *)
   mutable w_acqs : int;
   mutable w_contended : int;
   mutable w_remote : int;
@@ -71,10 +82,6 @@ type t = {
   mutable holder_shape : int; (* shape the holder validated against *)
   mutable last_releaser : int; (* -1 before the first release *)
   mutable acquisitions : int;
-  mutable morphs_up : int;
-  mutable morphs_down : int;
-  mutable drains : int; (* stale-shape hand-offs released and re-routed *)
-  mutable deferrals : int; (* morphs blocked on a still-draining target *)
   mutable recovering : bool;
   abortable : bool;
   recoverable : bool;
@@ -82,82 +89,13 @@ type t = {
   vid : int;
 }
 
-(* The window is deliberately short: a regime change is only visible
-   through acquisitions that *complete*, and the shape that most needs
-   replacing (a saturated test&set) completes them slowest — a long
-   window would leave the lock stuck in its worst shape for most of a
-   load spike. Eight acquisitions is enough to estimate the contended
-   fraction against thresholds this coarse. *)
-let default_window = 8
-let default_up_contended = 0.5
-let default_down_contended = 0.15
-let default_up_remote = 0.4
-
-(* An acquisition also counts as contended when the shape-level acquire
-   took longer than this. The instantaneous sample (holder set, or the
-   shape reports waiters) misses the shape that most needs replacing: a
-   backed-off test&set lock has no queue to inspect and its word is free
-   for most of the wall-clock time between hand-offs, so a saturated
-   spin shape looks idle at route time. The threshold sits above the
-   family's uncontended acquire costs (a few µs) and far below a
-   saturated wait (tens of µs). *)
-let default_contended_wait_us = 10.0
-
-let create ?(home = 0) ?(vclass = "adaptive") ?(window = default_window)
-    ?(up_contended = default_up_contended)
-    ?(down_contended = default_down_contended)
-    ?(up_remote = default_up_remote)
-    ?(contended_wait_us = default_contended_wait_us) ~name ~topo ~shapes
-    ~abortable ~recoverable machine =
-  if Array.length shapes <> n_shapes then
-    invalid_arg "Adaptive.create: expected exactly [| ts; queue; numa |]";
-  if window < 2 then invalid_arg "Adaptive.create: window must be >= 2";
-  {
-    name;
-    shapes;
-    current = Cell.make ~label:"adaptive.current" ~home shape_ts;
-    topo;
-    window;
-    up_contended;
-    down_contended;
-    up_remote;
-    wait_threshold =
-      Config.cycles_of_us (Machine.config machine) contended_wait_us;
-    w_acqs = 0;
-    w_contended = 0;
-    w_remote = 0;
-    in_flight = 0;
-    holder = -1;
-    holder_shape = shape_ts;
-    last_releaser = -1;
-    acquisitions = 0;
-    morphs_up = 0;
-    morphs_down = 0;
-    drains = 0;
-    deferrals = 0;
-    recovering = false;
-    abortable;
-    recoverable;
-    vcls = Verify.lock_class vclass;
-    vid = Verify.fresh_id ();
-  }
-
-let name t = t.name
-let acquisitions t = t.acquisitions
-let morphs_up t = t.morphs_up
-let morphs_down t = t.morphs_down
-let drains t = t.drains
-let deferrals t = t.deferrals
-let current_shape t = Cell.peek t.current
-let vclass t = t.vcls
-let vid t = t.vid
-let holder t = t.holder
-
 let is_free t =
-  t.holder = -1 && Array.for_all Lock_core.p_is_free t.shapes
+  t.holder = -1
+  && Array.for_all (fun (s : Lock_core.t) -> s.is_free ()) t.shapes
 
 let waiters t =
-  t.in_flight > 0 || Array.exists Lock_core.p_waiters t.shapes
+  t.in_flight > 0
+  || Array.exists (fun (s : Lock_core.t) -> s.waiters ()) t.shapes
 
 (* Host-side window bookkeeping at critical-section entry. The caller has
    already decided [contended] from the route-time sample and the measured
@@ -182,7 +120,7 @@ let entered t ctx ~shape ~contended =
   end
 
 let sample_contended t shape =
-  t.holder >= 0 || Lock_core.p_waiters t.shapes.(shape)
+  t.holder >= 0 || t.shapes.(shape).waiters ()
 
 let acquire t ctx =
   let t0 = Ctx.now ctx in
@@ -190,12 +128,11 @@ let acquire t ctx =
   let rec go () =
     let s = Ctx.read ctx t.current in
     let contended = sample_contended t s in
-    Lock_core.p_acquire t.shapes.(s) ctx;
+    t.shapes.(s).acquire ctx;
     if Ctx.read ctx t.current <> s then begin
       (* A morph landed while we were queued: hand the stale shape to the
          next drainer and re-route. Balanced pair; no critical section. *)
-      t.drains <- t.drains + 1;
-      Lock_core.p_release t.shapes.(s) ctx;
+      t.shapes.(s).release ctx;
       go ()
     end
     else
@@ -211,13 +148,12 @@ let try_acquire t ctx =
   let rec go () =
     let s = Ctx.read ctx t.current in
     let contended = sample_contended t s in
-    if not (Lock_core.p_try_acquire t.shapes.(s) ctx) then begin
+    if not (t.shapes.(s).try_acquire ctx) then begin
       t.in_flight <- t.in_flight - 1;
       false
     end
     else if Ctx.read ctx t.current <> s then begin
-      t.drains <- t.drains + 1;
-      Lock_core.p_release t.shapes.(s) ctx;
+      t.shapes.(s).release ctx;
       go ()
     end
     else begin
@@ -238,13 +174,12 @@ let try_acquire_for t ctx ~deadline =
     else begin
       let s = Ctx.read ctx t.current in
       let contended = sample_contended t s in
-      if not (Lock_core.p_try_acquire_for t.shapes.(s) ctx ~deadline) then begin
+      if not (t.shapes.(s).try_acquire_for ctx ~deadline) then begin
         t.in_flight <- t.in_flight - 1;
         false
       end
       else if Ctx.read ctx t.current <> s then begin
-        t.drains <- t.drains + 1;
-        Lock_core.p_release t.shapes.(s) ctx;
+        t.shapes.(s).release ctx;
         go ()
       end
       else begin
@@ -281,13 +216,13 @@ let try_acquire_for t ctx ~deadline =
    the old shape's words never carry the lock again until its queue has
    fully drained; a blocked morph is deferred and retried. *)
 let maybe_morph t ctx ~cur =
-  let quorum = max 2 (t.window / 4) in
+  let quorum = max 2 (window / 4) in
   (* The saturation fast path: half a window of arrivals blocked right
      now is direct evidence of the hot regime, available before the
      window can fill — a saturated test&set completes acquisitions so
      slowly that waiting for window samples from it would burn most of a
      load spike in the worst shape. *)
-  let saturated = t.in_flight >= max 2 (t.window / 2) in
+  let saturated = t.in_flight >= max 2 (window / 2) in
   if saturated || t.w_acqs >= quorum then begin
     let fc =
       min 1.0 (float_of_int t.w_contended /. float_of_int (max 1 t.w_acqs))
@@ -296,13 +231,13 @@ let maybe_morph t ctx ~cur =
       if t.w_contended = 0 then 0.0
       else min 1.0 (float_of_int t.w_remote /. float_of_int t.w_contended)
     in
-    let hot = saturated || (t.w_acqs >= quorum && fc >= t.up_contended) in
+    let hot = saturated || (t.w_acqs >= quorum && fc >= up_contended) in
     let target =
       if cur = shape_ts && hot then Some shape_queue
       else if
-        cur = shape_queue && hot && t.w_contended >= 2 && fr >= t.up_remote
+        cur = shape_queue && hot && t.w_contended >= 2 && fr >= up_remote
       then Some shape_numa
-      else if t.w_acqs >= t.window && cur > shape_ts && fc <= t.down_contended
+      else if t.w_acqs >= window && cur > shape_ts && fc <= down_contended
       then Some (cur - 1)
       else None
     in
@@ -314,16 +249,12 @@ let maybe_morph t ctx ~cur =
     match target with
     | Some tgt_idx ->
       let tgt = t.shapes.(tgt_idx) in
-      if Lock_core.p_is_free tgt && not (Lock_core.p_waiters tgt) then begin
+      if tgt.is_free () && not (tgt.waiters ()) then begin
         Ctx.write ctx t.current tgt_idx;
-        let up = tgt_idx > cur in
-        if up then t.morphs_up <- t.morphs_up + 1
-        else t.morphs_down <- t.morphs_down + 1;
-        Vhook.morphed ctx ~cls:t.vcls ~up ~shape:tgt_idx
-      end
-      else t.deferrals <- t.deferrals + 1;
+        Vhook.morphed ctx ~cls:t.vcls ~up:(tgt_idx > cur) ~shape:tgt_idx
+      end;
       reset ()
-    | None -> if t.w_acqs >= t.window then reset ()
+    | None -> if t.w_acqs >= window then reset ()
   end
 
 let release t ctx =
@@ -332,7 +263,7 @@ let release t ctx =
   t.holder <- -1;
   t.last_releaser <- Ctx.proc ctx;
   maybe_morph t ctx ~cur:s;
-  Lock_core.p_release t.shapes.(s) ctx
+  t.shapes.(s).release ctx
 
 (* Dead-holder recovery. The easy case: the corpse validated (it is
    [t.holder]) — delegate to its shape's own recover, which forces the
@@ -354,7 +285,7 @@ let recover t ctx =
         let machine = Ctx.machine ctx in
         if t.holder >= 0 && not (Machine.proc_alive machine t.holder) then begin
           let corpse = t.holder in
-          let ok = Lock_core.p_recover t.shapes.(t.holder_shape) ctx in
+          let ok = t.shapes.(t.holder_shape).recover ctx in
           (* The shape's recover yields and hands the shape on: the next
              waiter may already have validated and recorded itself as
              holder, and its hold must survive. *)
@@ -370,26 +301,50 @@ let recover t ctx =
         else begin
           let swept = ref false in
           Array.iter
-            (fun sh -> if Lock_core.p_recover sh ctx then swept := true)
+            (fun (sh : Lock_core.t) -> if sh.recover ctx then swept := true)
             t.shapes;
           !swept
         end)
   end
 
-module Core = struct
-  type nonrec t = t
-
-  let name = name
-  let acquire = acquire
-  let release = release
-  let try_acquire = try_acquire
-  let try_acquire_for = try_acquire_for
-  let abortable = true
-  let recover = recover
-  let recoverable = true
-  let is_free = is_free
-  let waiters = waiters
-  let acquisitions = acquisitions
-  let vclass = vclass
-  let vid = vid
-end
+let create ?(home = 0) ?(vclass = "adaptive") ~name ~topo ~shapes machine :
+    Lock_core.t =
+  if Array.length shapes <> n_shapes then
+    invalid_arg "Adaptive.create: expected exactly [| ts; queue; numa |]";
+  let t =
+    {
+      shapes;
+      current = Cell.make ~label:"adaptive.current" ~home shape_ts;
+      topo;
+      wait_threshold =
+        Config.cycles_of_us (Machine.config machine) contended_wait_us;
+      w_acqs = 0;
+      w_contended = 0;
+      w_remote = 0;
+      in_flight = 0;
+      holder = -1;
+      holder_shape = shape_ts;
+      last_releaser = -1;
+      acquisitions = 0;
+      recovering = false;
+      abortable = Array.for_all (fun (s : Lock_core.t) -> s.abortable) shapes;
+      recoverable =
+        Array.for_all (fun (s : Lock_core.t) -> s.recoverable) shapes;
+      vcls = Verify.lock_class vclass;
+      vid = Verify.fresh_id ();
+    }
+  in
+  {
+    name;
+    acquire = acquire t;
+    release = release t;
+    try_acquire = try_acquire t;
+    try_acquire_for = try_acquire_for t;
+    abortable = t.abortable;
+    recover = recover t;
+    recoverable = t.recoverable;
+    is_free = (fun () -> is_free t);
+    waiters = (fun () -> waiters t);
+    acquisitions = (fun () -> t.acquisitions);
+    transferred = (fun ctx -> Vhook.transferred ctx ~cls:t.vcls ~id:t.vid);
+  }

@@ -23,89 +23,27 @@
 
 open Hector
 
-type t
+(** [create ~name ~topo ~shapes machine] builds the morphing lock over
+    [shapes = [| ts; queue; numa |]], three locks that must share one
+    lockdep class (their distinct instance ids keep the checker's ledgers
+    separate). The result is abortable (recoverable) iff all three shapes
+    are. [home] places the mode word. The window is 8 acquisitions;
+    promotion needs a contended fraction of 0.5 (and a remote-hand-off
+    fraction of 0.4 for the NUMA step), demotion a contended fraction of
+    at most 0.15; an acquire slower than 10 µs counts as contended, since
+    the instantaneous sample cannot see a saturated test&set shape, whose
+    word is free for most of the time between backed-off hand-offs.
 
-val default_window : int
-val default_up_contended : float
-val default_down_contended : float
-val default_up_remote : float
-
-(** An acquisition whose shape-level acquire exceeded this also counts as
-    contended — the instantaneous sample cannot see a saturated test&set
-    shape, whose word is free for most of the wall-clock time between
-    backed-off hand-offs. *)
-val default_contended_wait_us : float
-
-(** Shape indices, in promotion order. *)
-
-val shape_ts : int
-val shape_queue : int
-val shape_numa : int
-val shape_name : int -> string
-
-(** [create ~name ~topo ~shapes ~abortable ~recoverable machine] builds the
-    morphing lock over [shapes = [| ts; queue; numa |]] — three
-    {!Lock_core.packed} instances that must share one lockdep class (their
-    distinct instance ids keep the checker's ledgers separate).
-    [abortable]/[recoverable] are the conjunction of the constituents'
-    dynamic capabilities, supplied by the caller because a packed view only
-    exposes static module flags ({!Lock.make} computes them). [home] places
-    the mode word. Thresholds default to the [default_*] values. *)
+    [recover] repairs a corpse that validated through its shape's own
+    recover; otherwise (a crash inside an in-flight morph or drain — the
+    corpse holds a shape but never became the Adaptive holder) it sweeps
+    every shape's recover, each a no-op unless its registered holder
+    really is dead. *)
 val create :
   ?home:int ->
   ?vclass:string ->
-  ?window:int ->
-  ?up_contended:float ->
-  ?down_contended:float ->
-  ?up_remote:float ->
-  ?contended_wait_us:float ->
   name:string ->
   topo:Lock_core.topo ->
-  shapes:Lock_core.packed array ->
-  abortable:bool ->
-  recoverable:bool ->
+  shapes:Lock_core.t array ->
   Machine.t ->
-  t
-
-val name : t -> string
-
-(** Critical-section entries (validated acquisitions; drains excluded). *)
-val acquisitions : t -> int
-
-val morphs_up : t -> int
-val morphs_down : t -> int
-
-(** Stale-shape hand-offs: acquisitions that found the mode cell moved
-    while they were queued, released the old shape and re-routed. *)
-val drains : t -> int
-
-(** Morph decisions blocked on a still-draining target shape. *)
-val deferrals : t -> int
-
-(** Untimed read of the mode word (tests and gauges). *)
-val current_shape : t -> int
-
-(** Untimed; -1 when free. *)
-val holder : t -> int
-
-val vclass : t -> Verify.lock_class
-val vid : t -> int
-val is_free : t -> bool
-val waiters : t -> bool
-val acquire : t -> Ctx.t -> unit
-val release : t -> Ctx.t -> unit
-val try_acquire : t -> Ctx.t -> bool
-val try_acquire_for : t -> Ctx.t -> deadline:int -> bool
-
-(** Dead-holder recovery. A corpse that validated is repaired through its
-    shape's own recover; otherwise (crash inside an in-flight morph or
-    drain — the corpse holds a constituent but never became the Adaptive
-    holder) every shape's recover is swept, each a no-op unless its
-    registered holder really is dead. *)
-val recover : t -> Ctx.t -> bool
-
-(** The {!Lock_core.OPS} view, for packing. The static
-    [abortable]/[recoverable] flags are [true]; the instance capabilities
-    depend on the NUMA constituent — {!Lock.make} wires the dynamic
-    values into the uniform record. *)
-module Core : Lock_core.OPS with type t = t
+  Lock_core.t

@@ -42,8 +42,6 @@ type t = {
   timed_claim : bool array; (* slot -> current claimant is a timed waiter *)
   forfeiter_of_slot : int array; (* slot -> forfeiting proc, or -1 *)
   pending_forfeit : bool array; (* proc -> forfeited slot not yet skipped *)
-  mutable timeouts : int;
-  mutable gc_count : int; (* forfeited slots skipped by releases *)
   vcls : Verify.lock_class;
   vid : int;
 }
@@ -74,19 +72,26 @@ let create ?(home = 0) ?(vclass = "anderson") machine =
     timed_claim = Array.make len false;
     forfeiter_of_slot = Array.make len (-1);
     pending_forfeit = Array.make n false;
-    timeouts = 0;
-    gc_count = 0;
     vcls = Verify.lock_class vclass;
     vid = Verify.fresh_id ();
   }
 
 let acquisitions t = t.acquisitions
-let timeouts t = t.timeouts
-let gc_count t = t.gc_count
+let vclass t = t.vcls
+let vid t = t.vid
 
 let is_free t =
   t.holder_slot = -1
   && Cell.peek t.slots.(Cell.peek t.tail mod Array.length t.slots) = 1
+
+(* Slots issued past the holder's mean queued waiters. The tail counter is
+   monotonic, so compare against the holder's issue number modulo the ring
+   size. A forfeited-but-unskipped slot also counts — the hint may
+   overshoot, never deadlock. *)
+let waiters t =
+  t.holder_slot >= 0
+  && Cell.peek t.tail mod Array.length t.slots
+     <> (t.holder_slot + 1) mod Array.length t.slots
 
 let take_slot t ctx =
   let rec loop () =
@@ -128,15 +133,11 @@ let acquire t ctx =
 (* Timed acquisition: take a slot like everyone else, but bound the spin
    and forfeit the slot on expiry (see the header comment for the
    grant/forfeit atomics). *)
-let acquire_with_timeout t ctx ~timeout =
+let try_acquire_for t ctx ~deadline =
   let proc = Ctx.proc ctx in
-  if timeout <= 0 || t.pending_forfeit.(proc) then begin
-    t.timeouts <- t.timeouts + 1;
-    false
-  end
+  if Machine.now t.machine >= deadline || t.pending_forfeit.(proc) then false
   else begin
     Vhook.wait_acquire_timed ctx ~cls:t.vcls ~id:t.vid;
-    let deadline = Machine.now t.machine + timeout in
     let n = Array.length t.slots in
     let slot = take_slot t ctx mod n in
     t.timed_claim.(slot) <- true;
@@ -170,15 +171,11 @@ let acquire_with_timeout t ctx ~timeout =
            and skips it. *)
         t.forfeiter_of_slot.(slot) <- proc;
         t.pending_forfeit.(proc) <- true;
-        t.timeouts <- t.timeouts + 1;
         Vhook.wait_abandoned ctx;
         false
       end
     end
   end
-
-let try_acquire_for t ctx ~deadline =
-  acquire_with_timeout t ctx ~timeout:(deadline - Machine.now t.machine)
 
 (* Grant slot [s], skipping (and resetting) forfeited slots. Untimed
    claimants get the historical plain store; timed claimants need the CAS
@@ -200,7 +197,6 @@ let rec grant t ctx s =
     let p = t.forfeiter_of_slot.(s) in
     t.forfeiter_of_slot.(s) <- -1;
     if p >= 0 then t.pending_forfeit.(p) <- false;
-    t.gc_count <- t.gc_count + 1;
     Vhook.abandon_repaired ctx ~cls:t.vcls;
     grant t ctx ((s + 1) mod n)
   end
@@ -238,40 +234,3 @@ let recover t ctx =
         Vhook.recovered ctx ~cls:t.vcls ~dead;
         true)
   end
-
-(* Core-interface view; [try_acquire] takes a slot and waits (slots cannot
-   be handed back — only timed waiters, which pre-announce themselves,
-   may forfeit). *)
-module Core = struct
-  type nonrec t = t
-
-  let algo = "Anderson"
-  let name _ = algo
-
-  let create ?(home = 0) ?(vclass = "anderson") machine = create ~home ~vclass machine
-  let acquire = acquire
-  let release = release
-
-  let try_acquire t ctx =
-    acquire t ctx;
-    true
-
-  let try_acquire_for = try_acquire_for
-  let abortable = true
-  let recover = recover
-  let recoverable = true
-  let is_free = is_free
-
-  (* Slots issued past the holder's mean queued waiters. The tail counter is
-     monotonic, so compare against the holder's issue number modulo the ring
-     size. A forfeited-but-unskipped slot also counts — the hint may
-     overshoot, never deadlock. *)
-  let waiters t =
-    t.holder_slot >= 0
-    && Cell.peek t.tail mod Array.length t.slots
-       <> (t.holder_slot + 1) mod Array.length t.slots
-
-  let acquisitions = acquisitions
-  let vclass t = t.vcls
-  let vid t = t.vid
-end

@@ -16,25 +16,23 @@ val is_free : t -> bool
 val acquire : t -> Ctx.t -> unit
 val release : t -> Ctx.t -> unit
 
-(** Timed acquisition by slot forfeiture: a timed-out waiter swaps the
-    forfeit mark (2) into its slot — a swap returning the grant (1) means
-    the hand-off already committed, so the waiter takes the lock and
-    returns [true] even past the deadline. Releases grant timed claimants
-    with CAS(0 -> 1) and skip+reset forfeited slots. The slot ring holds
-    2P+1 entries so concurrent issues never collide. [timeout <= 0], or an
-    earlier forfeit of this processor not yet skipped by a release, fails
-    immediately with no side effects on the lock. *)
-val acquire_with_timeout : t -> Ctx.t -> timeout:int -> bool
+(** Untimed hint: a slot has been issued past the holder's. *)
+val waiters : t -> bool
 
-(** {!acquire_with_timeout} against an absolute deadline — the
-    {!Lock_core.OPS.try_acquire_for} face. *)
+val vclass : t -> Verify.lock_class
+val vid : t -> int
+
+(** Timed acquisition against an absolute deadline, by slot forfeiture: a
+    timed-out waiter swaps the forfeit mark (2) into its slot — a swap
+    returning the grant (1) means the hand-off already committed, so the
+    waiter takes the lock and returns [true] even past the deadline.
+    Releases grant timed claimants with CAS(0 -> 1) and skip+reset
+    forfeited slots. The slot ring holds 2P+1 entries so concurrent issues
+    never collide. [deadline <= now], or an earlier forfeit of this
+    processor not yet skipped by a release, fails immediately with no side
+    effects on the lock. *)
 val try_acquire_for : t -> Ctx.t -> deadline:int -> bool
 
-(** Deadline expiries (including fail-fast refusals). *)
-val timeouts : t -> int
-
-(** Forfeited slots skipped and reset by releases. *)
-val gc_count : t -> int
-
-(** The {!Lock_core.S} view; [try_acquire] takes a slot and waits. *)
-module Core : Lock_core.S with type t = t
+(** Dead-holder recovery: run a fail-stopped holder's release on its
+    behalf, forfeited-slot skipping included. *)
+val recover : t -> Ctx.t -> bool

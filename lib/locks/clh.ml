@@ -50,8 +50,6 @@ type t = {
   timed_node_of_proc : int array; (* node for timed acquires; -1 = in queue *)
   abandoner_of_node : int array; (* node id -> proc that abandoned it, -1 *)
   timed_active : bool array; (* current hold came through the timed face *)
-  mutable timeouts : int;
-  mutable gc_count : int; (* abandoned nodes returned by an observer *)
   mutable recovering : bool; (* serialises dead-holder recoverers *)
   vcls : Verify.lock_class;
   vid : int;
@@ -81,8 +79,6 @@ let create ?(home = 0) ?(vclass = "clh") machine =
     timed_node_of_proc = Array.init n (fun i -> n + 1 + i);
     abandoner_of_node = Array.make ((2 * n) + 1) (-1);
     timed_active = Array.make n false;
-    timeouts = 0;
-    gc_count = 0;
     recovering = false;
     vcls = Verify.lock_class vclass;
     vid = Verify.fresh_id ();
@@ -91,8 +87,19 @@ let create ?(home = 0) ?(vclass = "clh") machine =
 let acquisitions t = t.acquisitions
 let holder_proc t = if t.holder < 0 then None else Some t.holder
 let is_free t = t.holder < 0
-let timeouts t = t.timeouts
-let gc_count t = t.gc_count
+let vclass t = t.vcls
+let vid t = t.vid
+
+(* The tail still pointing at a node other than the holder's means a
+   waiter enqueued behind it. *)
+let waiters t =
+  t.holder >= 0
+  &&
+  let active =
+    if t.timed_active.(t.holder) then t.timed_node_of_proc.(t.holder)
+    else t.node_of_proc.(t.holder)
+  in
+  Cell.peek t.tail <> active
 
 (* Our predecessor abandoned: return its node to its owner (we are the only
    processor spinning on it, so the reclaim cannot race another observer)
@@ -101,7 +108,6 @@ let reclaim_abandoned t ctx node =
   let owner = t.abandoner_of_node.(node) in
   t.abandoner_of_node.(node) <- -1;
   if owner >= 0 then t.timed_node_of_proc.(owner) <- node;
-  t.gc_count <- t.gc_count + 1;
   Vhook.abandon_repaired ctx ~cls:t.vcls
 
 (* Spin on [pred]'s node until it reads released, following abandonment
@@ -141,70 +147,57 @@ let acquire t ctx =
    abandonment waits, as a persistent 0, for whoever follows the redirect
    chain — conservation holds because the successor, or the next enqueuer,
    inherits it). *)
-let acquire_with_timeout t ctx ~timeout =
-  if timeout <= 0 then begin
-    t.timeouts <- t.timeouts + 1;
-    false
-  end
-  else begin
-    let proc = Ctx.proc ctx in
-    let my = t.timed_node_of_proc.(proc) in
-    if my < 0 then begin
-      (* Our timed node is still abandoned in the queue. *)
-      t.timeouts <- t.timeouts + 1;
-      false
-    end
-    else begin
-      Vhook.wait_acquire_timed ctx ~cls:t.vcls ~id:t.vid;
-      let deadline = Machine.now t.machine + timeout in
-      Ctx.write ctx t.nodes.(my) v_locked;
-      let pred = Ctx.fetch_and_store ctx t.tail my in
-      Ctx.instr ctx ~reg:2 ~br:2 ();
-      (* [wait] returns [Ok granted_through] on the grant, or
-         [Error cur_pred] on expiry — [cur_pred] being the node we were
-         spinning on when time ran out, which is NOT necessarily the node
-         the fetch&store returned: every redirect we followed reclaimed
-         its node and returned it to an owner who may re-enqueue it
-         anywhere. An abandonment must therefore redirect to [cur_pred];
-         pointing at the original predecessor would aim our successor at
-         a recycled node — possibly queued *behind* it — and close a
-         circular wait. *)
-      let rec wait pred =
-        let v = Ctx.read ctx t.nodes.(pred) in
-        Ctx.instr ctx ~br:1 ();
-        if v = v_released then Ok pred
-        else if v >= 2 then begin
-          let redirect = decode_abandoned v in
-          reclaim_abandoned t ctx pred;
-          wait redirect
-        end
-        else if Machine.now t.machine >= deadline then Error pred
-        else wait pred
-      in
-      match wait pred with
-      | Ok granted_through ->
-        t.pred_of_proc.(proc) <- granted_through;
-        t.timed_active.(proc) <- true;
-        assert (t.holder < 0);
-        t.holder <- proc;
-        t.acquisitions <- t.acquisitions + 1;
-        Vhook.acquired ctx ~cls:t.vcls ~id:t.vid;
-        true
-      | Error cur_pred ->
-        (* Abandon by value: our successor (or the next enqueuer, if we are
-           the tail) redirects to our wait position and returns this node
-           to us. *)
-        t.abandoner_of_node.(my) <- proc;
-        t.timed_node_of_proc.(proc) <- -1;
-        Ctx.write ctx t.nodes.(my) (encode_abandoned ~pred:cur_pred);
-        t.timeouts <- t.timeouts + 1;
-        Vhook.wait_abandoned ctx;
-        false
-    end
-  end
-
 let try_acquire_for t ctx ~deadline =
-  acquire_with_timeout t ctx ~timeout:(deadline - Machine.now t.machine)
+  let proc = Ctx.proc ctx in
+  let my = t.timed_node_of_proc.(proc) in
+  (* An expired deadline, or our timed node still abandoned in the queue:
+     fail without touching the lock. *)
+  if Machine.now t.machine >= deadline || my < 0 then false
+  else begin
+    Vhook.wait_acquire_timed ctx ~cls:t.vcls ~id:t.vid;
+    Ctx.write ctx t.nodes.(my) v_locked;
+    let pred = Ctx.fetch_and_store ctx t.tail my in
+    Ctx.instr ctx ~reg:2 ~br:2 ();
+    (* [wait] returns [Ok granted_through] on the grant, or
+       [Error cur_pred] on expiry — [cur_pred] being the node we were
+       spinning on when time ran out, which is NOT necessarily the node
+       the fetch&store returned: every redirect we followed reclaimed
+       its node and returned it to an owner who may re-enqueue it
+       anywhere. An abandonment must therefore redirect to [cur_pred];
+       pointing at the original predecessor would aim our successor at
+       a recycled node — possibly queued *behind* it — and close a
+       circular wait. *)
+    let rec wait pred =
+      let v = Ctx.read ctx t.nodes.(pred) in
+      Ctx.instr ctx ~br:1 ();
+      if v = v_released then Ok pred
+      else if v >= 2 then begin
+        let redirect = decode_abandoned v in
+        reclaim_abandoned t ctx pred;
+        wait redirect
+      end
+      else if Machine.now t.machine >= deadline then Error pred
+      else wait pred
+    in
+    match wait pred with
+    | Ok granted_through ->
+      t.pred_of_proc.(proc) <- granted_through;
+      t.timed_active.(proc) <- true;
+      assert (t.holder < 0);
+      t.holder <- proc;
+      t.acquisitions <- t.acquisitions + 1;
+      Vhook.acquired ctx ~cls:t.vcls ~id:t.vid;
+      true
+    | Error cur_pred ->
+      (* Abandon by value: our successor (or the next enqueuer, if we are
+         the tail) redirects to our wait position and returns this node
+         to us. *)
+      t.abandoner_of_node.(my) <- proc;
+      t.timed_node_of_proc.(proc) <- -1;
+      Ctx.write ctx t.nodes.(my) (encode_abandoned ~pred:cur_pred);
+      Vhook.wait_abandoned ctx;
+      false
+  end
 
 (* Thread-oblivious: the releasing processor is derived from the holder
    bookkeeping, not from [ctx], so a recoverer can run the release on a
@@ -262,7 +255,9 @@ let rescue_dead_holder t ctx =
    survivor is itself inside a pump there is no one left outside to run
    dead-holder recovery — the lock wedges with all survivors spinning on a
    corpse's node. Identical to [acquire] except that each spin iteration
-   also rescues a dead holder. *)
+   also rescues a dead holder, and that the pump is not counted in
+   [acquisitions]: it is the lock's own housekeeping, not a caller's
+   acquisition. *)
 let rec pump_spin t ctx pred =
   let v = Ctx.read ctx t.nodes.(pred) in
   Ctx.instr ctx ~br:1 ();
@@ -288,7 +283,6 @@ let pump_acquire t ctx =
   t.pred_of_proc.(proc) <- granted_through;
   assert (t.holder < 0);
   t.holder <- proc;
-  t.acquisitions <- t.acquisitions + 1;
   Vhook.acquired ctx ~cls:t.vcls ~id:t.vid
 
 (* Dead-holder recovery: [release] is thread-oblivious, so recovery is the
@@ -327,40 +321,3 @@ let recover t ctx =
           Vhook.recovered ctx ~cls:t.vcls ~dead;
           true)
     end
-
-(* Core-interface view. CLH has no cheap TryLock (the queue admits no
-   removal), so [try_acquire] enqueues and waits. *)
-module Core = struct
-  type nonrec t = t
-
-  let algo = "CLH"
-  let name _ = algo
-
-  let create ?(home = 0) ?(vclass = "clh") machine = create ~home ~vclass machine
-  let acquire = acquire
-  let release = release
-
-  let try_acquire t ctx =
-    acquire t ctx;
-    true
-
-  let try_acquire_for = try_acquire_for
-  let abortable = true
-  let recover = recover
-  let recoverable = true
-  let is_free = is_free
-
-  (* The tail still pointing at a node other than the holder's means a
-     waiter enqueued behind it. *)
-  let waiters t =
-    t.holder >= 0
-    &&
-    let active =
-      if t.timed_active.(t.holder) then t.timed_node_of_proc.(t.holder)
-      else t.node_of_proc.(t.holder)
-    in
-    Cell.peek t.tail <> active
-  let acquisitions = acquisitions
-  let vclass t = t.vcls
-  let vid t = t.vid
-end

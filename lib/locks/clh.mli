@@ -14,35 +14,33 @@ val create : ?home:int -> ?vclass:string -> Machine.t -> t
 
 val acquisitions : t -> int
 
-(** Untimed, for assertions. *)
-val holder_proc : t -> int option
-
 val is_free : t -> bool
 
 val acquire : t -> Ctx.t -> unit
 val release : t -> Ctx.t -> unit
 
-(** Timed acquisition, on a separate per-processor timed node (so untimed
-    acquisitions never go node-less). A CLH node cannot be unlinked, so a
-    timed-out waiter abandons {e by value}: it writes [pred + 2] into its
-    node and leaves; the unique processor spinning on that node follows
-    the redirect to [pred] and returns the node to its owner. The
-    level-triggered release signal (the 0 persists) makes the abandonment
-    race-free without a claim handshake. [timeout <= 0], or the
-    processor's timed node still abandoned in the queue, fails immediately
-    with no side effects on the lock. *)
-val acquire_with_timeout : t -> Ctx.t -> timeout:int -> bool
+(** Untimed hint: a waiter has enqueued behind the holder. *)
+val waiters : t -> bool
 
-(** {!acquire_with_timeout} against an absolute deadline — the
-    {!Lock_core.OPS.try_acquire_for} face. *)
+val vclass : t -> Verify.lock_class
+val vid : t -> int
+
+(** Timed acquisition against an absolute deadline, on a separate
+    per-processor timed node (so untimed acquisitions never go
+    node-less). A CLH node cannot be unlinked, so a timed-out waiter
+    abandons {e by value}: it writes [pred + 2] into its node and leaves;
+    the unique processor spinning on that node follows the redirect to
+    [pred] and returns the node to its owner. The level-triggered release
+    signal (the 0 persists) makes the abandonment race-free without a
+    claim handshake. [deadline <= now], or the processor's timed node
+    still abandoned in the queue, fails immediately with no side effects
+    on the lock. *)
 val try_acquire_for : t -> Ctx.t -> deadline:int -> bool
 
-(** Deadline expiries (including fail-fast refusals). *)
-val timeouts : t -> int
-
-(** Abandoned nodes returned to their owners by an observing waiter. *)
-val gc_count : t -> int
-
-(** The {!Lock_core.S} view; [try_acquire] enqueues and waits (CLH has no
-    cheap TryLock). *)
-module Core : Lock_core.S with type t = t
+(** Dead-holder recovery: run a fail-stopped holder's release on its
+    behalf (the grant is level-triggered, so the successor picks it up as
+    if the holder had released in time). On a free lock whose caller's
+    timed node is still abandoned in the queue, pump the queue with an
+    acquire/release pair that walks the redirect chain and returns the
+    node; that pump is not a recovery and returns [false]. *)
+val recover : t -> Ctx.t -> bool

@@ -65,15 +65,9 @@ type t = {
   mutable passes : int; (* consecutive same-cluster hand-offs *)
   mutable holder : int; (* processor in the critical section; -1 = none *)
   mutable acquisitions : int;
-  mutable local_handoffs : int; (* hand-offs to a same-cluster waiter *)
-  mutable remote_handoffs : int; (* hand-offs that left the cluster *)
   mutable moved : int; (* waiters moved onto the secondary queue *)
   mutable flushes : int; (* secondary-queue splices back into service *)
-  mutable repairs : int;
-  mutable grafts : int;
   active : int array; (* proc -> qnode id of its current hold *)
-  mutable timeouts : int; (* timed-acquisition expiries (incl. fail-fast) *)
-  mutable gc_count : int; (* abandoned nodes collected by grants *)
   mutable recovering : bool; (* serialises dead-holder recoverers *)
   vcls : Verify.lock_class;
   vid : int;
@@ -86,6 +80,9 @@ let create ?(home = 0) ?(threshold = default_threshold) ?(vclass = "cna")
   if threshold < 1 then invalid_arg "Cna.create: threshold must be >= 1";
   let n = Machine.n_procs machine in
   let cluster_of = topo.Lock_core.cluster_of in
+  (* Only the range check matters: CNA keeps no per-cluster state, so an
+     empty cluster is harmless. *)
+  ignore (Lock_core.cluster_homes machine topo);
   {
     threshold;
     cluster_of;
@@ -96,8 +93,6 @@ let create ?(home = 0) ?(threshold = default_threshold) ?(vclass = "cna")
           let p = if i < n then i else i - n in
           let timed = i >= n in
           let c = cluster_of p in
-          if c < 0 || c >= topo.Lock_core.n_clusters then
-            invalid_arg "Cna.create: cluster_of out of range";
           let lbl s =
             Printf.sprintf "cna.qn%d%s.%s" p (if timed then "t" else "") s
           in
@@ -114,31 +109,19 @@ let create ?(home = 0) ?(threshold = default_threshold) ?(vclass = "cna")
     passes = 0;
     holder = -1;
     acquisitions = 0;
-    local_handoffs = 0;
-    remote_handoffs = 0;
     moved = 0;
     flushes = 0;
-    repairs = 0;
-    grafts = 0;
     active = Array.make n 0;
-    timeouts = 0;
-    gc_count = 0;
     recovering = false;
     vcls = Verify.lock_class vclass;
     vid = Verify.fresh_id ();
   }
 
-let name _ = "CNA"
 let vclass t = t.vcls
+let vid t = t.vid
 let acquisitions t = t.acquisitions
-let local_handoffs t = t.local_handoffs
-let remote_handoffs t = t.remote_handoffs
 let moved t = t.moved
 let flushes t = t.flushes
-let repairs t = t.repairs
-let grafts t = t.grafts
-let timeouts t = t.timeouts
-let gc_count t = t.gc_count
 
 (* Qnode ids are 1-based: [1, n] regular (processor id - 1), [n+1, 2n]
    timed. *)
@@ -196,7 +179,6 @@ let rec hand_off t ctx id =
   end
 
 and collect t ctx id =
-  t.gc_count <- t.gc_count + 1;
   Vhook.abandon_repaired ctx ~cls:t.vcls;
   let nd = qnode t id in
   Ctx.instr ctx ~br:1 ();
@@ -219,7 +201,6 @@ and collect t ctx id =
       else t.passes <- 0
     end
     else begin
-      t.repairs <- t.repairs + 1;
       let usurper = Ctx.fetch_and_store ctx t.tail old_tail in
       Ctx.instr ctx ~br:1 ();
       let rec wait_next () =
@@ -231,7 +212,6 @@ and collect t ctx id =
       Ctx.write ctx nd.next nil;
       Ctx.write ctx nd.mark 0;
       if usurper <> nil then begin
-        t.grafts <- t.grafts + 1;
         Ctx.write ctx (qnode t usurper).next victim
       end
       else hand_off t ctx victim
@@ -250,11 +230,9 @@ and reinstall_secondary t ctx =
   let usurper = Ctx.fetch_and_store ctx t.tail last in
   Ctx.instr ctx ~br:1 ();
   if usurper <> nil then begin
-    t.grafts <- t.grafts + 1;
     Ctx.write ctx (qnode t usurper).next h
   end
   else begin
-    t.remote_handoffs <- t.remote_handoffs + 1;
     hand_off t ctx h
   end
 
@@ -275,7 +253,6 @@ let flush_secondary_before t ctx head_id =
   t.sec_tail <- nil;
   t.flushes <- t.flushes + 1;
   t.passes <- 0;
-  t.remote_handoffs <- t.remote_handoffs + 1;
   hand_off t ctx h
 
 (* Hand the lock onward given the main-queue head [succ_id], applying the
@@ -302,7 +279,6 @@ let dispatch t ctx ~my_cluster succ_id =
           append_secondary t ctx ~first:succ_id ~last:prev
         end;
         t.passes <- t.passes + 1;
-        t.local_handoffs <- t.local_handoffs + 1;
         hand_off t ctx cur
       end
       else begin
@@ -316,7 +292,6 @@ let dispatch t ctx ~my_cluster succ_id =
           if t.sec_head <> nil then flush_secondary_before t ctx succ_id
           else begin
             t.passes <- 0;
-            t.remote_handoffs <- t.remote_handoffs + 1;
             hand_off t ctx succ_id
           end
         end
@@ -358,7 +333,6 @@ let release t ctx =
     else begin
       (* The fetch&store removed waiters: standard MCS repair, then apply
          the NUMA policy to the re-installed head. *)
-      t.repairs <- t.repairs + 1;
       let usurper = Ctx.fetch_and_store ctx t.tail old_tail in
       Ctx.instr ctx ~br:1 ();
       let rec wait_next () =
@@ -368,7 +342,6 @@ let release t ctx =
       in
       let victim = wait_next () in
       if usurper <> nil then begin
-        t.grafts <- t.grafts + 1;
         Ctx.write ctx (qnode t usurper).next victim
       end
       else dispatch t ctx ~my_cluster victim
@@ -379,26 +352,23 @@ let release t ctx =
    in the main queue or was moved to the secondary queue, the waiter spins
    on its own locked cell just like any CNA waiter; expiry runs the mark
    handshake, and a claim-race loss means a hand-off committed — the lock
-   is taken even past the deadline. Fail-fast ([timeout <= 0], or the
+   is taken even past the deadline. Fail-fast ([deadline <= now], or the
    timed node still abandoned in a queue) touches nothing. *)
-let acquire_with_timeout t ctx ~timeout =
-  if timeout <= 0 then begin
-    t.timeouts <- t.timeouts + 1;
-    false
-  end
+let try_acquire_for t ctx ~deadline =
+  let budget = deadline - Machine.now t.machine in
+  if budget <= 0 then false
   else begin
     let p = Ctx.proc ctx in
     let my_id = timed_qid t p in
     let me = qnode t my_id in
     let still_queued = Ctx.read ctx me.mark in
     Ctx.instr ctx ~br:1 ();
-    if still_queued <> 0 then begin
-      t.timeouts <- t.timeouts + 1;
-      false
-    end
+    if still_queued <> 0 then false
     else begin
       Vhook.wait_acquire_timed ctx ~cls:t.vcls ~id:t.vid;
-      let deadline = Machine.now t.machine + timeout in
+      (* The node probe above is not charged to the wait: the budget the
+         caller had on entry counts from here. *)
+      let deadline = Machine.now t.machine + budget in
       Ctx.write ctx me.next nil;
       let pred = Ctx.fetch_and_store ctx t.tail my_id in
       Ctx.instr ctx ~reg:2 ~br:2 ();
@@ -442,7 +412,6 @@ let acquire_with_timeout t ctx ~timeout =
           else begin
             (* Abandonment stands: the node remains queued, marked, until
                a grant reaches and collects it. *)
-            t.timeouts <- t.timeouts + 1;
             Vhook.wait_abandoned ctx;
             false
           end
@@ -450,9 +419,6 @@ let acquire_with_timeout t ctx ~timeout =
       end
     end
   end
-
-let try_acquire_for t ctx ~deadline =
-  acquire_with_timeout t ctx ~timeout:(deadline - Machine.now t.machine)
 
 (* Dead-holder recovery: the thread-oblivious release runs the full CNA
    policy — scan, secondary-queue banking, abandoned-node GC — on the
@@ -469,32 +435,3 @@ let recover t ctx =
         Vhook.recovered ctx ~cls:t.vcls ~dead;
         true)
   end
-
-(* Core-interface view; [create] clusters by hardware station and
-   [try_acquire] enqueues and waits. *)
-module Core = struct
-  type nonrec t = t
-
-  let algo = "CNA"
-  let name = name
-
-  let create ?(home = 0) ?(vclass = "cna") machine =
-    create ~home ~vclass ~topo:(Lock_core.topo_of_machine machine) machine
-
-  let acquire = acquire
-  let release = release
-
-  let try_acquire t ctx =
-    acquire t ctx;
-    true
-
-  let try_acquire_for = try_acquire_for
-  let abortable = true
-  let recover = recover
-  let recoverable = true
-  let is_free = is_free
-  let waiters = waiters
-  let acquisitions = acquisitions
-  let vclass = vclass
-  let vid t = t.vid
-end

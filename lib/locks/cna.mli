@@ -10,8 +10,8 @@ open Hector
 
 type t
 
-(** Raises [Invalid_argument] if [threshold < 1] or [topo] does not cover
-    the machine's processors. *)
+(** Raises [Invalid_argument] if [threshold < 1] or [topo] maps a
+    processor out of range. *)
 val create :
   ?home:int ->
   ?threshold:int ->
@@ -22,18 +22,11 @@ val create :
 
 val default_threshold : int
 
-val name : t -> string
 val acquire : t -> Ctx.t -> unit
 val release : t -> Ctx.t -> unit
 val is_free : t -> bool
 val waiters : t -> bool
 val acquisitions : t -> int
-
-(** Hand-offs to a same-cluster waiter. *)
-val local_handoffs : t -> int
-
-(** Hand-offs that left the cluster (including secondary-queue flushes). *)
-val remote_handoffs : t -> int
 
 (** Waiters moved onto the secondary queue. *)
 val moved : t -> int
@@ -41,30 +34,21 @@ val moved : t -> int
 (** Secondary-queue splices back into service. *)
 val flushes : t -> int
 
-val repairs : t -> int
-val grafts : t -> int
 val vclass : t -> Verify.lock_class
+val vid : t -> int
 
-(** Timed acquisition on a separate per-processor timed node whose mark
-    cell runs the MCS abandonment handshake. The release-side scan ignores
-    marks; abandonment is discovered when a hand-off reaches the node,
-    which is then unlinked (main or secondary queue alike) and the grant
-    passed to its true successor. A claim-race loss takes the lock and
-    returns [true] even past the deadline. [timeout <= 0], or the timed
-    node still abandoned in a queue, fails immediately with no side
-    effects on the lock. *)
-val acquire_with_timeout : t -> Ctx.t -> timeout:int -> bool
-
-(** {!acquire_with_timeout} against an absolute deadline — the
-    {!Lock_core.OPS.try_acquire_for} face. *)
+(** Timed acquisition against an absolute deadline, on a separate
+    per-processor timed node whose mark cell runs the MCS abandonment
+    handshake. The release-side scan ignores marks; abandonment is
+    discovered when a hand-off reaches the node, which is then unlinked
+    (main or secondary queue alike) and the grant passed to its true
+    successor. A claim-race loss takes the lock and returns [true] even
+    past the deadline. The wait gets the whole budget [deadline - now]
+    the caller had on entry, counted from after the node probe.
+    [deadline <= now], or the timed node still abandoned in a queue,
+    fails immediately with no side effects on the lock. *)
 val try_acquire_for : t -> Ctx.t -> deadline:int -> bool
 
-(** Deadline expiries (including fail-fast refusals). *)
-val timeouts : t -> int
-
-(** Abandoned nodes collected by hand-offs. *)
-val gc_count : t -> int
-
-(** The {!Lock_core.S} view; [create] clusters by hardware station and
-    [try_acquire] enqueues and waits. *)
-module Core : Lock_core.S with type t = t
+(** Dead-holder recovery: the thread-oblivious release runs the full CNA
+    policy on a fail-stopped holder's behalf. *)
+val recover : t -> Ctx.t -> bool

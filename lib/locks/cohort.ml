@@ -14,10 +14,10 @@
    change hands (one cross-cluster transfer per cohort session instead of
    one per critical section).
 
-   The combinator works over {!Lock_core.packed}, so the constituent
-   algorithms can be chosen at runtime ([Lock.make]); the {!Make} functor
-   is the statically-typed face over the same engine. Requirements on the
-   constituents (the cohorting paper's terms):
+   The combinator takes its constituents as {!Lock_core.t} records, so
+   the algorithms can be chosen at runtime ([Lock.make] builds each one
+   with a recursive [make] call). Requirements on the constituents (the
+   cohorting paper's terms):
    - the global lock must be *thread-oblivious* — acquired by one processor
      of a cluster, released by another. Every lock in this library
      qualifies: their release paths work from the releasing context, not a
@@ -63,9 +63,8 @@ open Hector
 let default_max_handoffs = 16
 
 type t = {
-  cname : string;
-  locals : Lock_core.packed array; (* one per cluster *)
-  global : Lock_core.packed;
+  locals : Lock_core.t array; (* one per cluster *)
+  global : Lock_core.t;
   owned : bool array; (* cluster currently owns the global lock *)
   passes : int array; (* consecutive local hand-offs this cohort session *)
   pass_token : int array; (* 0 = none; else the in-flight pass's generation *)
@@ -73,82 +72,22 @@ type t = {
   demoting : bool array; (* a demoted global release is in flight *)
   max_handoffs : int;
   cluster_of : int -> int;
+  recoverable : bool; (* every constituent recoverable *)
   mutable holder : int; (* processor in the critical section; -1 = none *)
   mutable recovering : bool; (* serialises dead-holder recoverers *)
   mutable acquisitions : int;
-  mutable local_handoffs : int; (* pass-releases: global stayed put *)
-  mutable global_releases : int; (* full releases: global changed hands *)
-  mutable timeouts : int; (* timed-acquisition expiries, either level *)
   vcls : Verify.lock_class;
   vid : int;
 }
 
-(* The lowest processor of each cluster, for homing that cluster's local
-   lock in cluster-local memory. *)
-let cluster_homes machine (topo : Lock_core.topo) =
-  let n = Machine.n_procs machine in
-  let homes = Array.make topo.Lock_core.n_clusters (-1) in
-  for p = n - 1 downto 0 do
-    let c = topo.Lock_core.cluster_of p in
-    if c >= 0 && c < Array.length homes then homes.(c) <- p
-  done;
-  Array.iteri
-    (fun c h ->
-      if h < 0 then
-        invalid_arg (Printf.sprintf "Cohort: cluster %d has no processors" c))
-    homes;
-  homes
-
-let create_packed ?(vclass = "cohort") ?(max_handoffs = default_max_handoffs)
-    ~name ~topo ~local ~global machine =
-  if max_handoffs < 1 then
-    invalid_arg "Cohort: max_handoffs must be at least 1";
-  let homes = cluster_homes machine topo in
-  {
-    cname = name;
-    locals =
-      Array.init topo.Lock_core.n_clusters (fun c ->
-          local ~cluster:c ~home:homes.(c) ~vclass:(vclass ^ ".local"));
-    global = global ~vclass:(vclass ^ ".global");
-    owned = Array.make topo.Lock_core.n_clusters false;
-    passes = Array.make topo.Lock_core.n_clusters 0;
-    pass_token = Array.make topo.Lock_core.n_clusters 0;
-    token_ctr = 0;
-    demoting = Array.make topo.Lock_core.n_clusters false;
-    max_handoffs;
-    cluster_of = topo.Lock_core.cluster_of;
-    holder = -1;
-    recovering = false;
-    acquisitions = 0;
-    local_handoffs = 0;
-    global_releases = 0;
-    timeouts = 0;
-    vcls = Verify.lock_class vclass;
-    vid = Verify.fresh_id ();
-  }
-
-let name t = t.cname
-let acquisitions t = t.acquisitions
-let local_handoffs t = t.local_handoffs
-let global_releases t = t.global_releases
-let timeouts t = t.timeouts
-let vclass t = t.vcls
-let vid t = t.vid
-
-(* The composite is abortable only if both constituents are: a
-   non-abortable constituent turns the timed face into a blocking one. *)
-let abortable t =
-  Array.for_all Lock_core.p_abortable t.locals
-  && Lock_core.p_abortable t.global
-
 let is_free t =
-  Lock_core.p_is_free t.global
-  && Array.for_all Lock_core.p_is_free t.locals
+  t.global.is_free ()
+  && Array.for_all (fun (l : Lock_core.t) -> l.is_free ()) t.locals
   && not (Array.exists Fun.id t.owned)
 
 let waiters t =
-  Array.exists Lock_core.p_waiters t.locals
-  || Lock_core.p_waiters t.global
+  Array.exists (fun (l : Lock_core.t) -> l.waiters ()) t.locals
+  || t.global.waiters ()
 
 let cluster t ctx = t.cluster_of (Ctx.proc ctx)
 
@@ -161,7 +100,7 @@ let got_lock t ctx =
 let acquire t ctx =
   Vhook.wait_acquire ctx ~cls:t.vcls ~id:t.vid;
   let c = cluster t ctx in
-  Lock_core.p_acquire t.locals.(c) ctx;
+  t.locals.(c).acquire ctx;
   (* Accept any in-flight pass before the next timed operation: the
      releaser's demote check must see either the token overwritten or the
      local lock still occupied (see the header). *)
@@ -175,7 +114,7 @@ let acquire t ctx =
      local lock, so this host-side check cannot race. *)
   Ctx.instr ctx ~br:1 ();
   if not t.owned.(c) then begin
-    Lock_core.p_acquire t.global ctx;
+    t.global.acquire ctx;
     t.owned.(c) <- true;
     t.passes.(c) <- 0
   end
@@ -184,12 +123,12 @@ let acquire t ctx =
        ours to release (or pass on). The checker's registered holder must
        follow the session, or the eventual global release looks foreign —
        host-side only, no simulated cost. *)
-    Lock_core.p_transferred t.global ctx;
+    t.global.transferred ctx;
   got_lock t ctx
 
 let try_acquire t ctx =
   let c = cluster t ctx in
-  if not (Lock_core.p_try_acquire t.locals.(c) ctx) then false
+  if not (t.locals.(c).try_acquire ctx) then false
   else begin
     t.pass_token.(c) <- 0;
     Ctx.instr ctx ~br:1 ();
@@ -197,15 +136,15 @@ let try_acquire t ctx =
       (* A demoted global release is in flight: enqueueing on the global
          lock now could lose the hand-off, and a non-blocking caller
          cannot wait it out — report the lock as busy. *)
-      Lock_core.p_release t.locals.(c) ctx;
+      t.locals.(c).release ctx;
       false
     end
     else if t.owned.(c) then begin
-      Lock_core.p_transferred t.global ctx;
+      t.global.transferred ctx;
       got_lock t ctx;
       true
     end
-    else if Lock_core.p_try_acquire t.global ctx then begin
+    else if t.global.try_acquire ctx then begin
       t.owned.(c) <- true;
       t.passes.(c) <- 0;
       got_lock t ctx;
@@ -213,7 +152,7 @@ let try_acquire t ctx =
     end
     else begin
       (* Could not take the global lock: give the local one back. *)
-      Lock_core.p_release t.locals.(c) ctx;
+      t.locals.(c).release ctx;
       false
     end
   end
@@ -225,17 +164,14 @@ let try_acquire t ctx =
    failure gives the local lock back, exactly like [try_acquire]. Either
    constituent may return [true] past the deadline (a committed hand-off
    must be consumed); the composite then either delivers the lock or, if
-   the other level has already run out of time, backs out cleanly. *)
+   the other level has already run out of time, backs out cleanly. With a
+   non-abortable constituent the corresponding level simply blocks. *)
 let try_acquire_for t ctx ~deadline =
-  if Ctx.now ctx >= deadline then begin
-    t.timeouts <- t.timeouts + 1;
-    false
-  end
+  if Ctx.now ctx >= deadline then false
   else begin
     Vhook.wait_acquire_timed ctx ~cls:t.vcls ~id:t.vid;
     let c = cluster t ctx in
-    if not (Lock_core.p_try_acquire_for t.locals.(c) ctx ~deadline) then begin
-      t.timeouts <- t.timeouts + 1;
+    if not (t.locals.(c).try_acquire_for ctx ~deadline) then begin
       Vhook.wait_abandoned ctx;
       false
     end
@@ -246,19 +182,18 @@ let try_acquire_for t ctx ~deadline =
       done;
       Ctx.instr ctx ~br:1 ();
       if t.owned.(c) then begin
-        Lock_core.p_transferred t.global ctx;
+        t.global.transferred ctx;
         got_lock t ctx;
         true
       end
-      else if Lock_core.p_try_acquire_for t.global ctx ~deadline then begin
+      else if t.global.try_acquire_for ctx ~deadline then begin
         t.owned.(c) <- true;
         t.passes.(c) <- 0;
         got_lock t ctx;
         true
       end
       else begin
-        Lock_core.p_release t.locals.(c) ctx;
-        t.timeouts <- t.timeouts + 1;
+        t.locals.(c).release ctx;
         Vhook.wait_abandoned ctx;
         false
       end
@@ -272,9 +207,8 @@ let try_acquire_for t ctx ~deadline =
 let release_global_then_local t ctx c =
   t.owned.(c) <- false;
   t.passes.(c) <- 0;
-  t.global_releases <- t.global_releases + 1;
-  Lock_core.p_release t.global ctx;
-  Lock_core.p_release t.locals.(c) ctx
+  t.global.release ctx;
+  t.locals.(c).release ctx
 
 (* Thread-oblivious at the composite level too: the cluster being released
    comes from the holder bookkeeping, not from [ctx] — the constituent
@@ -285,9 +219,7 @@ let release t ctx =
   assert (p >= 0);
   t.holder <- -1;
   let c = t.cluster_of p in
-  let may_pass =
-    t.passes.(c) < t.max_handoffs && Lock_core.p_waiters t.locals.(c)
-  in
+  let may_pass = t.passes.(c) < t.max_handoffs && t.locals.(c).waiters () in
   Ctx.instr ctx ~br:1 ();
   (* The released hook runs just before whichever constituent release can
      transfer the lock, so an observer sees our release before the
@@ -299,42 +231,36 @@ let release t ctx =
     t.token_ctr <- t.token_ctr + 1;
     let tok = t.token_ctr in
     t.pass_token.(c) <- tok;
-    Lock_core.p_release t.locals.(c) ctx;
+    t.locals.(c).release ctx;
     (* The waiter the hint saw may have been an abandoned TryLock node the
        release just collected. If nobody accepted the pass (our own token
        still in place — any acquire or later pass overwrites it) and the
        local lock came out free, the cohort session is over: demote to a
        full release of the global lock. An acquirer that slips in after
        this check finds [owned] already false and [demoting] raised. *)
-    if t.pass_token.(c) = tok && Lock_core.p_is_free t.locals.(c) then begin
+    if t.pass_token.(c) = tok && t.locals.(c).is_free () then begin
       t.pass_token.(c) <- 0;
       t.demoting.(c) <- true;
       t.owned.(c) <- false;
       t.passes.(c) <- 0;
-      t.global_releases <- t.global_releases + 1;
-      Lock_core.p_release t.global ctx;
+      t.global.release ctx;
       t.demoting.(c) <- false
     end
-    else t.local_handoffs <- t.local_handoffs + 1
   end
   else release_global_then_local t ctx c
 
-(* The composite is recoverable only if both constituents are: the unwind
-   runs their releases on the corpse's behalf, which needs each to be
-   thread-oblivious with holder bookkeeping of its own. *)
-let recoverable t =
-  Array.for_all Lock_core.p_recoverable t.locals
-  && Lock_core.p_recoverable t.global
-
 (* Dead-holder recovery: the thread-oblivious release unwinds the corpse's
    session — a local pass if cluster-mates are queued (the cluster keeps
-   the global lock), otherwise the full global-then-local release. *)
+   the global lock), otherwise the full global-then-local release. The
+   composite is recoverable only if both constituents are: the unwind runs
+   their releases on the corpse's behalf, which needs each to be
+   thread-oblivious with holder bookkeeping of its own. *)
 let recover t ctx =
   let dead = t.holder in
   if
     t.recovering || dead < 0
     || Machine.proc_alive (Ctx.machine ctx) dead
-    || not (recoverable t)
+    || not t.recoverable
   then false
   else begin
     t.recovering <- true;
@@ -346,50 +272,63 @@ let recover t ctx =
         true)
   end
 
-(* The statically-typed face: one functor application per (local, global)
-   algorithm pair, each yielding a full {!Lock_core.S} — so cohorts
-   compose (a cohort can be the local or global side of another). *)
-module Make (Local : Lock_core.S) (Global : Lock_core.S) = struct
-  type nonrec t = t
-
-  let algo = Printf.sprintf "C-%s-%s" Local.algo Global.algo
-
-  let create_with ?(home = 0) ?vclass ?max_handoffs ~topo machine =
-    ignore home;
-    create_packed ?vclass ?max_handoffs ~name:algo ~topo
-      ~local:(fun ~cluster:_ ~home ~vclass ->
-        Lock_core.pack (module Local) (Local.create ~home ~vclass machine))
-      ~global:(fun ~vclass ->
-        Lock_core.pack (module Global) (Global.create ~home:0 ~vclass machine))
-      machine
-
-  let create ?home ?vclass machine =
-    create_with ?home ?vclass ~topo:(Lock_core.topo_of_machine machine) machine
-
-  let name = name
-  let acquire = acquire
-  let release = release
-  let try_acquire = try_acquire
-  let try_acquire_for = try_acquire_for
-  let abortable = Local.abortable && Global.abortable
-  let recover = recover
-  let recoverable = Local.recoverable && Global.recoverable
-  let is_free = is_free
-  let waiters = waiters
-  let acquisitions = acquisitions
-  let vclass = vclass
-  let vid = vid
-  let local_handoffs = local_handoffs
-  let global_releases = global_releases
-end
-
-(* The paper-faithful instance: MCS at both levels (C-MCS-MCS), the
-   configuration the cohorting paper benchmarks against flat MCS. The
-   constituents are the H1 variant: H2's always-fetch&store release opens a
-   repair window on every local hand-off, and under the cohort's longer
-   release path (the global hand-off's fixed-length stretch) that window
-   resonates with re-enqueue timing — a recently served processor usurps
-   the local queue every session and the queued cluster-mates starve. H1
-   hands off directly whenever the successor link is visible, so a deep
-   local queue never opens the window. *)
-module C_mcs_mcs = Make (Mcs.Core_h1) (Mcs.Core_h1)
+let create ?(vclass = "cohort") ?(max_handoffs = default_max_handoffs) ~name
+    ~topo ~local ~global machine : Lock_core.t =
+  if max_handoffs < 1 then
+    invalid_arg "Cohort: max_handoffs must be at least 1";
+  let n_clusters = topo.Lock_core.n_clusters in
+  (* Each cluster's local lock is homed at its lowest processor, in
+     cluster-local memory; a cohort has no use for an empty cluster. *)
+  let homes = Lock_core.cluster_homes machine topo in
+  Array.iteri
+    (fun c h ->
+      if h < 0 then
+        invalid_arg (Printf.sprintf "Cohort: cluster %d has no processors" c))
+    homes;
+  (* Identity first, then the global lock, then the locals in cluster
+     order: this fixes the instance ids and cell ids every run sees. *)
+  let vid = Verify.fresh_id () in
+  let vcls = Verify.lock_class vclass in
+  let global = global ~vclass:(vclass ^ ".global") in
+  let locals =
+    Array.map (fun home -> local ~home ~vclass:(vclass ^ ".local")) homes
+  in
+  let t =
+    {
+      locals;
+      global;
+      owned = Array.make n_clusters false;
+      passes = Array.make n_clusters 0;
+      pass_token = Array.make n_clusters 0;
+      token_ctr = 0;
+      demoting = Array.make n_clusters false;
+      max_handoffs;
+      cluster_of = topo.Lock_core.cluster_of;
+      recoverable =
+        Array.for_all (fun (l : Lock_core.t) -> l.recoverable) locals
+        && global.recoverable;
+      holder = -1;
+      recovering = false;
+      acquisitions = 0;
+      vcls;
+      vid;
+    }
+  in
+  {
+    name;
+    acquire = acquire t;
+    release = release t;
+    try_acquire = try_acquire t;
+    try_acquire_for = try_acquire_for t;
+    (* A non-abortable constituent turns the timed face into a blocking
+       one. *)
+    abortable =
+      Array.for_all (fun (l : Lock_core.t) -> l.abortable) locals
+      && global.abortable;
+    recover = recover t;
+    recoverable = t.recoverable;
+    is_free = (fun () -> is_free t);
+    waiters = (fun () -> waiters t);
+    acquisitions = (fun () -> t.acquisitions);
+    transferred = (fun ctx -> Vhook.transferred ctx ~cls:t.vcls ~id:t.vid);
+  }

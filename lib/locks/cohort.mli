@@ -7,97 +7,23 @@
 
 open Hector
 
-type t
+val default_max_handoffs : int
 
-(** Runtime-composed constructor used by [Lock.make]: [local] builds one
-    constituent per cluster (homed at the cluster's lowest processor),
-    [global] builds the top-level lock. Raises [Invalid_argument] if
-    [max_handoffs < 1] or some cluster has no processors. *)
-val create_packed :
+(** [create ~name ~topo ~local ~global machine] builds the composite:
+    [global ~vclass] builds the top-level lock, then [local ~home ~vclass]
+    one constituent per cluster, homed at the cluster's lowest processor.
+    The result is abortable only if every constituent is (a
+    non-abortable level blocks in the timed face), and recoverable only
+    if every constituent is (the recovery unwind runs their releases on
+    the dead holder's behalf). Raises [Invalid_argument] if
+    [max_handoffs < 1], [topo] maps a processor out of range, or some
+    cluster has no processors. *)
+val create :
   ?vclass:string ->
   ?max_handoffs:int ->
   name:string ->
   topo:Lock_core.topo ->
-  local:(cluster:int -> home:int -> vclass:string -> Lock_core.packed) ->
-  global:(vclass:string -> Lock_core.packed) ->
+  local:(home:int -> vclass:string -> Lock_core.t) ->
+  global:(vclass:string -> Lock_core.t) ->
   Machine.t ->
-  t
-
-val default_max_handoffs : int
-
-val name : t -> string
-val acquire : t -> Ctx.t -> unit
-val release : t -> Ctx.t -> unit
-val try_acquire : t -> Ctx.t -> bool
-
-(** Timed acquisition: timed local acquire, then timed global acquire with
-    the remaining deadline; a global-side failure gives the local lock
-    back. Fails immediately, touching nothing, when [deadline] has already
-    passed. A constituent's committed hand-off may deliver the composite
-    past the deadline (returning [true]). With a non-abortable constituent
-    the corresponding level simply blocks — see {!abortable}. *)
-val try_acquire_for : t -> Ctx.t -> deadline:int -> bool
-
-(** Whether every constituent supports abandonment (the composite's timed
-    face is only bounded if so). *)
-val abortable : t -> bool
-
-(** The composite is recoverable only if both constituents are (the unwind
-    runs their releases on a dead holder's behalf). *)
-val recoverable : t -> bool
-
-(** Dead-holder recovery: if the processor in the critical section has
-    fail-stopped, run the thread-oblivious release on its behalf — a local
-    pass if cluster-mates are queued, else the full global-then-local
-    release — and return [true]. [false] when the lock is free, the holder
-    is alive, the composite is not recoverable, or a recovery is already
-    in flight. *)
-val recover : t -> Ctx.t -> bool
-
-(** Deadline expiries at either level (including fail-fast refusals). *)
-val timeouts : t -> int
-
-val is_free : t -> bool
-val waiters : t -> bool
-val acquisitions : t -> int
-
-(** Pass-releases where the global lock stayed with the cluster. *)
-val local_handoffs : t -> int
-
-(** Full releases where the global lock changed hands. *)
-val global_releases : t -> int
-
-val vclass : t -> Verify.lock_class
-
-(** Statically-typed instances: [Make (Local) (Global)] is a full
-    {!Lock_core.S} (so cohorts compose), plus cohort-specific extras. *)
-module Make (_ : Lock_core.S) (_ : Lock_core.S) : sig
-  include Lock_core.S with type t = t
-
-  val create_with :
-    ?home:int ->
-    ?vclass:string ->
-    ?max_handoffs:int ->
-    topo:Lock_core.topo ->
-    Machine.t ->
-    t
-
-  val local_handoffs : t -> int
-  val global_releases : t -> int
-end
-
-(** The paper-faithful instance: MCS at both levels (C-MCS-MCS). *)
-module C_mcs_mcs : sig
-  include Lock_core.S with type t = t
-
-  val create_with :
-    ?home:int ->
-    ?vclass:string ->
-    ?max_handoffs:int ->
-    topo:Lock_core.topo ->
-    Machine.t ->
-    t
-
-  val local_handoffs : t -> int
-  val global_releases : t -> int
-end
+  Lock_core.t

@@ -95,12 +95,6 @@ type t = {
   active : int array; (* proc -> qnode id of its current hold *)
   root_via : int array; (* cluster -> cnode id holding the root for it *)
   mutable acquisitions : int;
-  mutable local_passes : int; (* hand-offs that kept the root in-cluster *)
-  mutable global_releases : int; (* releases that gave up the root *)
-  mutable repairs : int; (* fetch&store removed waiters; queue re-installed *)
-  mutable grafts : int; (* repairs that found a usurper *)
-  mutable timeouts : int; (* timed-acquisition expiries (incl. fail-fast) *)
-  mutable gc_count : int; (* abandoned nodes collected, both levels *)
   mutable recovering : bool; (* serialises dead-holder recoverers *)
   vcls : Verify.lock_class;
   vid : int;
@@ -117,15 +111,14 @@ let create ?(home = 0) ?(threshold = default_threshold) ?(vclass = "hmcs")
   let n = Machine.n_procs machine in
   let n_clusters = topo.Lock_core.n_clusters in
   let cluster_of = topo.Lock_core.cluster_of in
-  (* Home each cluster's root node and tail at its lowest processor, each
-     processor's queue node in its own memory (local spinning). *)
-  let cluster_home = Array.make n_clusters home in
-  for p = n - 1 downto 0 do
-    let c = cluster_of p in
-    if c < 0 || c >= n_clusters then
-      invalid_arg "Hmcs.create: cluster_of out of range";
-    cluster_home.(c) <- p
-  done;
+  (* Home each cluster's root node and tail at its lowest processor (an
+     empty cluster's at [home]), each processor's queue node in its own
+     memory (local spinning). *)
+  let cluster_home =
+    Array.map
+      (fun h -> if h < 0 then home else h)
+      (Lock_core.cluster_homes machine topo)
+  in
   let mk_cnode c timed =
     let lbl s =
       Printf.sprintf "hmcs.cn%d%s.%s" c (if timed then "t" else "") s
@@ -171,26 +164,14 @@ let create ?(home = 0) ?(threshold = default_threshold) ?(vclass = "hmcs")
     active = Array.make n 0;
     root_via = Array.make n_clusters 0;
     acquisitions = 0;
-    local_passes = 0;
-    global_releases = 0;
-    repairs = 0;
-    grafts = 0;
-    timeouts = 0;
-    gc_count = 0;
     recovering = false;
     vcls = Verify.lock_class vclass;
     vid = Verify.fresh_id ();
   }
 
-let name _ = "HMCS"
 let vclass t = t.vcls
+let vid t = t.vid
 let acquisitions t = t.acquisitions
-let local_passes t = t.local_passes
-let global_releases t = t.global_releases
-let repairs t = t.repairs
-let grafts t = t.grafts
-let timeouts t = t.timeouts
-let gc_count t = t.gc_count
 
 (* Qnode ids are 1-based: [1, n] regular (processor id - 1), [n+1, 2n]
    timed. Cnode ids likewise: [1, C] regular, [C+1, 2C] timed. *)
@@ -242,7 +223,6 @@ let rec signal_root t ctx id =
 (* Unlink an abandoned timed cnode from the root queue and pass the root
    grant to its true successor (repairing/grafting as a release would). *)
 and collect_root t ctx id =
-  t.gc_count <- t.gc_count + 1;
   Vhook.abandon_repaired ctx ~cls:t.vcls;
   let cn = cnode t id in
   Ctx.instr ctx ~br:1 ();
@@ -263,7 +243,6 @@ and collect_root t ctx id =
       Ctx.write ctx cn.cbusy 0
     end
     else begin
-      t.repairs <- t.repairs + 1;
       let usurper = Ctx.fetch_and_store ctx t.root_tail old_tail in
       Ctx.instr ctx ~br:1 ();
       let rec wait_next () =
@@ -278,7 +257,6 @@ and collect_root t ctx id =
       if usurper <> nil then begin
         (* The usurper saw an empty root queue and holds the root; victims
            go behind it. *)
-        t.grafts <- t.grafts + 1;
         Ctx.write ctx (cnode t usurper).cnext victim
       end
       else signal_root t ctx victim
@@ -339,7 +317,6 @@ let release_root t ctx c =
     let old_tail = Ctx.fetch_and_store ctx t.root_tail nil in
     Ctx.instr ctx ~reg:1 ~br:1 ();
     if old_tail <> via then begin
-      t.repairs <- t.repairs + 1;
       let usurper = Ctx.fetch_and_store ctx t.root_tail old_tail in
       Ctx.instr ctx ~br:1 ();
       let rec wait_next () =
@@ -349,7 +326,6 @@ let release_root t ctx c =
       in
       let victim = wait_next () in
       if usurper <> nil then begin
-        t.grafts <- t.grafts + 1;
         Ctx.write ctx (cnode t usurper).cnext victim
       end
       else signal_root t ctx victim
@@ -379,7 +355,6 @@ let rec signal_local t ctx c id v =
    usurper (a fresh head off acquiring the root itself), the collector must
    release the root here or the cluster strands it forever. *)
 and collect_local t ctx c id v =
-  t.gc_count <- t.gc_count + 1;
   Vhook.abandon_repaired ctx ~cls:t.vcls;
   let nd = qnode t id in
   Ctx.instr ctx ~br:1 ();
@@ -398,12 +373,10 @@ and collect_local t ctx c id v =
       Ctx.write ctx nd.mark 0;
       if v <> acquire_parent t then begin
         (* The grant carried the root: release it (demotion). *)
-        t.global_releases <- t.global_releases + 1;
         release_root t ctx c
       end
     end
     else begin
-      t.repairs <- t.repairs + 1;
       let usurper = Ctx.fetch_and_store ctx t.local_tails.(c) old_tail in
       Ctx.instr ctx ~br:1 ();
       let rec wait_next () =
@@ -415,12 +388,10 @@ and collect_local t ctx c id v =
       Ctx.write ctx nd.next nil;
       Ctx.write ctx nd.mark 0;
       if usurper <> nil then begin
-        t.grafts <- t.grafts + 1;
         Ctx.write ctx (qnode t usurper).next victim;
         if v <> acquire_parent t then begin
           (* Victims grafted behind a fresh head that is acquiring the
              root itself; our root-carrying grant must be surrendered. *)
-          t.global_releases <- t.global_releases + 1;
           release_root t ctx c
         end
       end
@@ -487,7 +458,6 @@ let release t ctx =
   if succ <> nil && curcount < t.threshold then begin
     (* Pass within the cluster: the root stays put, the successor inherits
        the incremented pass count. *)
-    t.local_passes <- t.local_passes + 1;
     signal_local t ctx c succ (curcount + 1)
   end
   else begin
@@ -495,7 +465,6 @@ let release t ctx =
        order: the next head re-acquires the root, possibly behind other
        clusters that were waiting). *)
     release_root t ctx c;
-    t.global_releases <- t.global_releases + 1;
     if succ <> nil then signal_local t ctx c succ (acquire_parent t)
     else begin
       let old_tail = Ctx.fetch_and_store ctx t.local_tails.(c) nil in
@@ -504,7 +473,6 @@ let release t ctx =
         (* The fetch&store removed waiters: re-install them, grafting
            behind any usurper (who, having seen an empty queue, made itself
            local head and is acquiring the root). *)
-        t.repairs <- t.repairs + 1;
         let usurper = Ctx.fetch_and_store ctx t.local_tails.(c) old_tail in
         Ctx.instr ctx ~br:1 ();
         let rec wait_next () =
@@ -514,7 +482,6 @@ let release t ctx =
         in
         let victim = wait_next () in
         if usurper <> nil then begin
-          t.grafts <- t.grafts + 1;
           Ctx.write ctx (qnode t usurper).next victim
         end
         else signal_local t ctx c victim (acquire_parent t)
@@ -538,7 +505,6 @@ let pass_headship t ctx c me my_id =
     let old_tail = Ctx.fetch_and_store ctx t.local_tails.(c) nil in
     Ctx.instr ctx ~reg:1 ~br:1 ();
     if old_tail <> my_id then begin
-      t.repairs <- t.repairs + 1;
       let usurper = Ctx.fetch_and_store ctx t.local_tails.(c) old_tail in
       Ctx.instr ctx ~br:1 ();
       let rec wait_next () =
@@ -549,7 +515,6 @@ let pass_headship t ctx c me my_id =
       let victim = wait_next () in
       Ctx.write ctx me.next nil;
       if usurper <> nil then begin
-        t.grafts <- t.grafts + 1;
         Ctx.write ctx (qnode t usurper).next victim
       end
       else signal_local t ctx c victim (acquire_parent t)
@@ -557,19 +522,17 @@ let pass_headship t ctx c me my_id =
   end
 
 (* Timed acquisition. Returns [false] — holding nothing, with every queue
-   eventually repaired — once [timeout] expires at either tree level;
+   eventually repaired — once the deadline expires at either tree level;
    returns [true] holding the lock, possibly past the deadline, when a
    hand-off committed first (claim-race loss at the lock-granting level).
 
-   Fail-fast cases (no side effect on the lock): [timeout <= 0], or this
+   Fail-fast cases (no side effect on the lock): [deadline <= now], or this
    processor's timed qnode still abandoned in its local queue. A cluster
    whose timed cnode is still abandoned in the root queue also fails
    fast at the promotion point, after passing local headship onward. *)
-let acquire_with_timeout t ctx ~timeout =
-  if timeout <= 0 then begin
-    t.timeouts <- t.timeouts + 1;
-    false
-  end
+let try_acquire_for t ctx ~deadline =
+  let budget = deadline - Machine.now t.machine in
+  if budget <= 0 then false
   else begin
     let p = Ctx.proc ctx in
     let c = t.cluster_of p in
@@ -577,15 +540,13 @@ let acquire_with_timeout t ctx ~timeout =
     let me = qnode t my_id in
     let still_queued = Ctx.read ctx me.mark in
     Ctx.instr ctx ~br:1 ();
-    if still_queued <> 0 then begin
-      t.timeouts <- t.timeouts + 1;
-      false
-    end
+    if still_queued <> 0 then false
     else begin
       Vhook.wait_acquire_timed ctx ~cls:t.vcls ~id:t.vid;
-      let deadline = Machine.now t.machine + timeout in
+      (* The node probe above is not charged to the wait: the budget the
+         caller had on entry counts from here. *)
+      let deadline = Machine.now t.machine + budget in
       let abandon_fail () =
-        t.timeouts <- t.timeouts + 1;
         Vhook.wait_abandoned ctx;
         false
       in
@@ -731,9 +692,6 @@ let acquire_with_timeout t ctx ~timeout =
     end
   end
 
-let try_acquire_for t ctx ~deadline =
-  acquire_with_timeout t ctx ~timeout:(deadline - Machine.now t.machine)
-
 (* Dead-holder recovery: the thread-oblivious release unwinds both tree
    levels on the corpse's behalf — a local pass if the budget and queue
    allow, otherwise the root release plus local-headship hand-over, with
@@ -750,33 +708,3 @@ let recover t ctx =
         Vhook.recovered ctx ~cls:t.vcls ~dead;
         true)
   end
-
-(* Core-interface view. [try_acquire] enqueues and waits (the timed face
-   is the true abortable entry point). [create] uses the machine's
-   hardware stations as the cluster topology. *)
-module Core = struct
-  type nonrec t = t
-
-  let algo = "HMCS"
-  let name = name
-
-  let create ?(home = 0) ?(vclass = "hmcs") machine =
-    create ~home ~vclass ~topo:(Lock_core.topo_of_machine machine) machine
-
-  let acquire = acquire
-  let release = release
-
-  let try_acquire t ctx =
-    acquire t ctx;
-    true
-
-  let try_acquire_for = try_acquire_for
-  let abortable = true
-  let recover = recover
-  let recoverable = true
-  let is_free = is_free
-  let waiters = waiters
-  let acquisitions = acquisitions
-  let vclass = vclass
-  let vid t = t.vid
-end

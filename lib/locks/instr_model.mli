@@ -19,8 +19,6 @@ val acquire_path : algo -> instr list
 val release_path : algo -> instr list
 val pair_path : algo -> instr list
 
-val count_instrs : instr list -> counts
-
 (** Counts for a full lock/unlock pair. *)
 val counts : algo -> counts
 

@@ -1,23 +1,26 @@
 (* Uniform lock interface.
 
-   Experiments sweep over lock algorithms; this record type lets a workload
-   take "a lock" without knowing which algorithm backs it. The [algo] type
-   enumerates every configuration the paper's figures compare. *)
+   Experiments sweep over lock algorithms; the {!Lock_core.t} record lets a
+   workload take "a lock" without knowing which algorithm backs it. The
+   [algo] type enumerates every configuration the paper's figures compare,
+   and [make] is the one constructor: composites build their constituents
+   with recursive [make] calls. *)
 
 open Hector
 
-type t = {
+type t = Lock_core.t = {
   name : string;
   acquire : Ctx.t -> unit;
   release : Ctx.t -> unit;
   try_acquire : Ctx.t -> bool;
   try_acquire_for : Ctx.t -> deadline:int -> bool;
-  abortable : bool; (* [try_acquire_for] can actually give up *)
-  recover : Ctx.t -> bool; (* force a dead holder's release; see lock.mli *)
-  recoverable : bool; (* [recover] can actually repair a dead holder *)
-  is_free : unit -> bool; (* untimed, for assertions *)
-  acquires : int ref; (* instrumentation: completed acquires *)
-  wait_cycles : int ref; (* total cycles spent inside acquire *)
+  abortable : bool;
+  recover : Ctx.t -> bool;
+  recoverable : bool;
+  is_free : unit -> bool;
+  waiters : unit -> bool;
+  acquisitions : unit -> int;
+  transferred : Ctx.t -> unit;
 }
 
 type algo =
@@ -87,16 +90,17 @@ let rec needs_cas = function
 let null =
   {
     name = "none";
-    acquire = (fun _ -> ());
-    release = (fun _ -> ());
+    acquire = ignore;
+    release = ignore;
     try_acquire = (fun _ -> true);
     try_acquire_for = (fun _ ~deadline:_ -> true);
     abortable = true;
     recover = (fun _ -> false);
     recoverable = false;
     is_free = (fun () -> true);
-    acquires = ref 0;
-    wait_cycles = ref 0;
+    waiters = (fun () -> false);
+    acquisitions = (fun () -> 0);
+    transferred = ignore;
   }
 
 let all_paper_algos =
@@ -120,301 +124,213 @@ let cna = Cna { threshold = Cna.default_threshold }
 let all_numa_algos = [ c_mcs_mcs; hmcs; cna ]
 let adaptive = Adaptive { numa = cna }
 
-(* Wrap an acquire with wall-clock accounting (virtual cycles spent from
-   call to lock entry). Algorithms without a real abandonment protocol get
-   a blocking [try_acquire_for] (acquire, return true) and advertise it
-   with [abortable = false]. *)
-let instrumented ~name ~acquire ~release ~try_acquire ?try_acquire_for
-    ?(abortable = false) ?recover ~is_free () =
-  let acquires = ref 0 and wait_cycles = ref 0 in
-  let timed_acquire ctx =
-    let t0 = Machine.now (Ctx.machine ctx) in
-    acquire ctx;
-    incr acquires;
-    wait_cycles := !wait_cycles + (Machine.now (Ctx.machine ctx) - t0)
-  in
-  let try_acquire_for =
-    match try_acquire_for with
-    | Some f ->
-      fun ctx ~deadline ->
-        let ok = f ctx ~deadline in
-        if ok then incr acquires;
-        ok
-    | None ->
-      fun ctx ~deadline:_ ->
-        timed_acquire ctx;
-        true
-  in
-  let recover, recoverable =
-    match recover with
-    | Some f -> (f, true)
-    | None -> ((fun _ -> false), false)
-  in
-  {
-    name;
-    acquire = timed_acquire;
-    release;
-    try_acquire;
-    try_acquire_for;
-    abortable;
-    recover;
-    recoverable;
-    is_free;
-    acquires;
-    wait_cycles;
-  }
+let transferred cls id ctx = Vhook.transferred ctx ~cls ~id
 
-let of_spin lock =
-  instrumented ~name:"spin"
-    ~acquire:(fun ctx -> Spin_lock.acquire lock ctx)
-    ~release:(fun ctx -> Spin_lock.release lock ctx)
-    ~try_acquire:(fun ctx -> Spin_lock.try_acquire lock ctx)
-    ~try_acquire_for:(fun ctx ~deadline ->
-      Spin_lock.try_acquire_for lock ctx ~deadline)
-    ~abortable:true
-    ~recover:(fun ctx -> Spin_lock.Core.recover lock ctx)
-    ~is_free:(fun () -> not (Spin_lock.is_held lock))
-    ()
+(* Acquire and report success: the TryLock and timed faces of algorithms
+   that cannot give up on a wait. *)
+let blocking acquire ctx =
+  acquire ctx;
+  true
 
-let of_mcs lock =
-  instrumented ~name:(Mcs.name lock)
-    ~acquire:(fun ctx -> Mcs.acquire lock ctx)
-    ~release:(fun ctx -> Mcs.release lock ctx)
-    ~try_acquire:(fun ctx -> Mcs.try_acquire_v2 lock ctx)
-    ~try_acquire_for:(fun ctx ~deadline -> Mcs.try_acquire_for lock ctx ~deadline)
-    ~abortable:true
-    ~recover:(fun ctx -> Mcs.Core.recover lock ctx)
-    ~is_free:(fun () -> Mcs.is_free lock)
-    ()
+let blocking_for acquire ctx ~deadline:_ = blocking acquire ctx
 
-(* A base algorithm as a {!Lock_core.packed} instance — the constituents a
-   runtime-composed [Cohort] is assembled from. Only algorithms exposing a
-   [Core] module qualify; nesting composites (or [Null] / STB) inside a
-   cohort is rejected. *)
-let packed_of_algo machine ~home ~vclass algo : Lock_core.packed =
-  let cfg = Machine.config machine in
+(* What a Cohort may be built from: base algorithms only — nesting a
+   composite (or [Null] / STB) inside a cohort is rejected. *)
+let check_cohort_constituent algo =
   match algo with
-  | Spin { max_backoff_us } ->
-    let backoff = Backoff.of_us cfg ~max_us:max_backoff_us () in
-    Lock_core.pack
-      (module Spin_lock.Core)
-      (Spin_lock.create machine ~home ~vclass backoff)
-  | Mcs_original ->
-    Lock_core.pack (module Mcs.Core)
-      (Mcs.create ~variant:Mcs.Original ~home ~vclass machine)
-  | Mcs_h1 ->
-    Lock_core.pack (module Mcs.Core)
-      (Mcs.create ~variant:Mcs.H1 ~home ~vclass machine)
-  | Mcs_h2 ->
-    Lock_core.pack (module Mcs.Core)
-      (Mcs.create ~variant:Mcs.H2 ~home ~vclass machine)
-  | Mcs_cas ->
-    if not cfg.Config.has_cas then
-      invalid_arg "Lock.make: Mcs_cas needs a machine with compare&swap";
-    Lock_core.pack (module Mcs.Core)
-      (Mcs.create ~variant:Mcs.H2 ~home ~use_cas_release:true ~vclass machine)
-  | Clh -> Lock_core.pack (module Clh.Core) (Clh.create ~home ~vclass machine)
-  | Ticket ->
-    Lock_core.pack
-      (module Ticket_lock.Core)
-      (Ticket_lock.create ~home ~vclass machine)
+  | Spin _ | Mcs_original | Mcs_h1 | Mcs_h2 | Mcs_cas | Clh | Ticket
   | Anderson ->
-    Lock_core.pack
-      (module Anderson_lock.Core)
-      (Anderson_lock.create ~home ~vclass machine)
+    ()
   | Spin_then_block _ | Null | Cohort _ | Hmcs _ | Cna _ | Rw _ | Adaptive _ ->
     invalid_arg
       (Printf.sprintf
          "Lock.make: %s cannot be a cohort constituent (base algorithms only)"
          (algo_name algo))
 
-(* An algorithm as an RW writer constituent: any base algorithm, or one of
-   the NUMA composites — which is the point of building RW over [packed]:
-   RW-cohort and RW-CNA fall out of the existing combinators. Returns the
-   instance's *dynamic* abortable/recoverable capabilities alongside: a
-   runtime-composed cohort's packed view only knows the module's static
-   flags, which may be wrong for these constituents. *)
-let rw_writer machine ~home ~topo algo ~vclass :
-    Lock_core.packed * bool * bool =
+(* What an RW lock may serialise its writers with: any base algorithm, or
+   one of the NUMA composites — so RW-cohort and RW-CNA fall out of the
+   existing combinators. *)
+let check_writer algo =
   match algo with
-  | Cohort { local; global; max_handoffs } ->
-    let c =
-      Cohort.create_packed ~vclass ~max_handoffs ~name:(algo_name algo) ~topo
-        ~local:(fun ~cluster:_ ~home ~vclass ->
-          packed_of_algo machine ~home ~vclass local)
-        ~global:(fun ~vclass -> packed_of_algo machine ~home ~vclass global)
-        machine
-    in
-    ( Lock_core.pack (module Cohort.C_mcs_mcs) c,
-      Cohort.abortable c,
-      Cohort.recoverable c )
-  | Hmcs { threshold } ->
-    let l = Hmcs.create ~home ~threshold ~vclass ~topo machine in
-    (Lock_core.pack (module Hmcs.Core) l, true, true)
-  | Cna { threshold } ->
-    let l = Cna.create ~home ~threshold ~vclass ~topo machine in
-    (Lock_core.pack (module Cna.Core) l, true, true)
   | Null | Spin_then_block _ | Rw _ | Adaptive _ ->
     invalid_arg
       (Printf.sprintf "Lock.make: %s cannot be an RW writer constituent"
          (algo_name algo))
   | Spin _ | Mcs_original | Mcs_h1 | Mcs_h2 | Mcs_cas | Clh | Ticket | Anderson
-    ->
-    let p = packed_of_algo machine ~home ~vclass algo in
-    (p, Lock_core.p_abortable p, Lock_core.p_recoverable p)
+  | Cohort _ | Hmcs _ | Cna _ ->
+    ()
 
-(* The RW composite itself, with both faces — workloads that want the
-   reader side use this directly; [make (Rw ...)] wraps the writer face in
-   the uniform record. *)
-let make_rw machine ?home ?(vclass = "rwlock") ?topo ~policy ~centralised
-    writer_algo =
-  let topo =
-    match topo with Some t -> t | None -> Lock_core.topo_of_machine machine
-  in
-  let name = algo_name (Rw { writer = writer_algo; policy; centralised }) in
-  let p, writer_abortable, writer_recoverable =
-    rw_writer machine
-      ~home:(match home with Some h -> h | None -> 0)
-      ~topo writer_algo
-      ~vclass:(vclass ^ ".writer")
-  in
-  Rwlock.create ?home ~vclass ~policy ~centralised ~name ~topo
-    ~writer:(fun ~vclass:_ -> p)
-    ~writer_abortable ~writer_recoverable machine
-
-let make machine ?(home = 0) ?vclass ?topo algo =
+let rec make machine ?(home = 0) ?vclass ?topo algo =
   let cfg = Machine.config machine in
   let topo =
     match topo with
     | Some t -> t
     | None -> Lock_core.topo_of_machine machine
   in
+  let name = algo_name algo in
   match algo with
   | Null -> null
   | Spin { max_backoff_us } ->
     let backoff = Backoff.of_us cfg ~max_us:max_backoff_us () in
-    let lock = Spin_lock.create machine ~home ?vclass backoff in
-    { (of_spin lock) with name = algo_name algo }
-  | Mcs_original -> of_mcs (Mcs.create ~variant:Mcs.Original ~home ?vclass machine)
-  | Mcs_h1 -> of_mcs (Mcs.create ~variant:Mcs.H1 ~home ?vclass machine)
-  | Mcs_h2 -> of_mcs (Mcs.create ~variant:Mcs.H2 ~home ?vclass machine)
-  | Mcs_cas ->
-    if not cfg.Config.has_cas then
-      invalid_arg "Lock.make: Mcs_cas needs a machine with compare&swap";
-    let lock =
-      Mcs.create ~variant:Mcs.H2 ~home ~use_cas_release:true ?vclass machine
+    let l = Spin_lock.create machine ~home ?vclass backoff in
+    {
+      name;
+      acquire = Spin_lock.acquire l;
+      release = Spin_lock.release l;
+      try_acquire = Spin_lock.try_acquire l;
+      try_acquire_for = Spin_lock.try_acquire_for l;
+      abortable = true;
+      recover = Spin_lock.recover l;
+      recoverable = true;
+      is_free = (fun () -> not (Spin_lock.is_held l));
+      (* A test&set lock cannot see its backers-off, so a cohort over a
+         spin local never passes locally. *)
+      waiters = (fun () -> false);
+      acquisitions = (fun () -> Spin_lock.acquisitions l);
+      transferred = transferred (Spin_lock.vclass l) (Spin_lock.vid l);
+    }
+  | Mcs_original | Mcs_h1 | Mcs_h2 | Mcs_cas ->
+    let variant =
+      match algo with
+      | Mcs_original -> Mcs.Original
+      | Mcs_h1 -> Mcs.H1
+      | _ -> Mcs.H2
     in
-    { (of_mcs lock) with name = algo_name Mcs_cas }
+    let use_cas_release = algo = Mcs_cas in
+    if use_cas_release && not cfg.Config.has_cas then
+      invalid_arg "Lock.make: Mcs_cas needs a machine with compare&swap";
+    let l = Mcs.create ~variant ~home ~use_cas_release ?vclass machine in
+    {
+      name;
+      acquire = Mcs.acquire l;
+      release = Mcs.release l;
+      try_acquire = Mcs.try_acquire_v2 l;
+      try_acquire_for = Mcs.try_acquire_for l;
+      abortable = true;
+      recover = Mcs.recover l;
+      recoverable = true;
+      is_free = (fun () -> Mcs.is_free l);
+      waiters = (fun () -> Mcs.waiters l);
+      acquisitions = (fun () -> Mcs.acquisitions l);
+      transferred = transferred (Mcs.vclass l) (Mcs.vid l);
+    }
   | Clh ->
-    let lock = Clh.create ~home ?vclass machine in
-    instrumented ~name:"CLH"
-      ~acquire:(fun ctx -> Clh.acquire lock ctx)
-      ~release:(fun ctx -> Clh.release lock ctx)
-      ~try_acquire:(fun ctx ->
-        (* CLH has no cheap TryLock; enqueue and wait. *)
-        Clh.acquire lock ctx;
-        true)
-      ~try_acquire_for:(fun ctx ~deadline ->
-        Clh.try_acquire_for lock ctx ~deadline)
-      ~abortable:true
-      ~recover:(fun ctx -> Clh.Core.recover lock ctx)
-      ~is_free:(fun () -> Clh.is_free lock)
-      ()
+    let l = Clh.create ~home ?vclass machine in
+    {
+      name;
+      acquire = Clh.acquire l;
+      release = Clh.release l;
+      (* No cheap TryLock: the queue admits no removal. *)
+      try_acquire = blocking (Clh.acquire l);
+      try_acquire_for = Clh.try_acquire_for l;
+      abortable = true;
+      recover = Clh.recover l;
+      recoverable = true;
+      is_free = (fun () -> Clh.is_free l);
+      waiters = (fun () -> Clh.waiters l);
+      acquisitions = (fun () -> Clh.acquisitions l);
+      transferred = transferred (Clh.vclass l) (Clh.vid l);
+    }
   | Ticket ->
     (* A drawn ticket cannot be handed back (a skipped number would stall
-       every later waiter), so the timed face blocks: abortable = false. *)
-    let lock = Ticket_lock.create ~home ?vclass machine in
-    instrumented ~name:"Ticket"
-      ~acquire:(fun ctx -> Ticket_lock.acquire lock ctx)
-      ~release:(fun ctx -> Ticket_lock.release lock ctx)
-      ~try_acquire:(fun ctx ->
-        Ticket_lock.acquire lock ctx;
-        true)
-      ~recover:(fun ctx -> Ticket_lock.Core.recover lock ctx)
-      ~is_free:(fun () -> Ticket_lock.is_free lock)
-      ()
+       every later waiter), so both non-blocking faces block. Recoverable
+       all the same: waiters retire a dead holder's ticket in-spin. *)
+    let l = Ticket_lock.create ~home ?vclass machine in
+    {
+      name;
+      acquire = Ticket_lock.acquire l;
+      release = Ticket_lock.release l;
+      try_acquire = blocking (Ticket_lock.acquire l);
+      try_acquire_for = blocking_for (Ticket_lock.acquire l);
+      abortable = false;
+      recover = Ticket_lock.recover l;
+      recoverable = true;
+      is_free = (fun () -> Ticket_lock.is_free l);
+      waiters = (fun () -> Ticket_lock.waiters l);
+      acquisitions = (fun () -> Ticket_lock.acquisitions l);
+      transferred = transferred (Ticket_lock.vclass l) (Ticket_lock.vid l);
+    }
   | Anderson ->
-    let lock = Anderson_lock.create ~home ?vclass machine in
-    instrumented ~name:"Anderson"
-      ~acquire:(fun ctx -> Anderson_lock.acquire lock ctx)
-      ~release:(fun ctx -> Anderson_lock.release lock ctx)
-      ~try_acquire:(fun ctx ->
-        Anderson_lock.acquire lock ctx;
-        true)
-      ~try_acquire_for:(fun ctx ~deadline ->
-        Anderson_lock.try_acquire_for lock ctx ~deadline)
-      ~abortable:true
-      ~recover:(fun ctx -> Anderson_lock.Core.recover lock ctx)
-      ~is_free:(fun () -> Anderson_lock.is_free lock)
-      ()
+    let l = Anderson_lock.create ~home ?vclass machine in
+    {
+      name;
+      acquire = Anderson_lock.acquire l;
+      release = Anderson_lock.release l;
+      (* Slots cannot be handed back; only timed waiters, which announce
+         themselves, may forfeit. *)
+      try_acquire = blocking (Anderson_lock.acquire l);
+      try_acquire_for = Anderson_lock.try_acquire_for l;
+      abortable = true;
+      recover = Anderson_lock.recover l;
+      recoverable = true;
+      is_free = (fun () -> Anderson_lock.is_free l);
+      waiters = (fun () -> Anderson_lock.waiters l);
+      acquisitions = (fun () -> Anderson_lock.acquisitions l);
+      transferred = transferred (Anderson_lock.vclass l) (Anderson_lock.vid l);
+    }
   | Spin_then_block { spin_us } ->
-    (* Blocking hands the processor to the scheduler; there is no waiter
+    (* Blocking hands the processor to the scheduler: there is no waiter
        state to retract, and wakeup is the scheduler's promise — the timed
-       face blocks: abortable = false. *)
-    let lock = Stb_lock.create ~home ~spin_us ?vclass machine in
-    instrumented ~name:(algo_name algo)
-      ~acquire:(fun ctx -> Stb_lock.acquire lock ctx)
-      ~release:(fun ctx -> Stb_lock.release lock ctx)
-      ~try_acquire:(fun ctx -> Stb_lock.try_acquire lock ctx)
-      ~is_free:(fun () -> not (Stb_lock.is_held lock))
-      ()
-  | Cohort { local; global; max_handoffs } ->
-    let name = algo_name algo in
-    let vcls = Option.value vclass ~default:"cohort" in
-    let lock =
-      Cohort.create_packed ~vclass:vcls ~max_handoffs ~name ~topo
-        ~local:(fun ~cluster:_ ~home ~vclass ->
-          packed_of_algo machine ~home ~vclass local)
-        ~global:(fun ~vclass -> packed_of_algo machine ~home ~vclass global)
-        machine
-    in
-    instrumented ~name
-      ~acquire:(fun ctx -> Cohort.acquire lock ctx)
-      ~release:(fun ctx -> Cohort.release lock ctx)
-      ~try_acquire:(fun ctx -> Cohort.try_acquire lock ctx)
-      ~try_acquire_for:(fun ctx ~deadline ->
-        Cohort.try_acquire_for lock ctx ~deadline)
-      ~abortable:(Cohort.abortable lock)
-      ?recover:
-        (if Cohort.recoverable lock then
-           Some (fun ctx -> Cohort.recover lock ctx)
-         else None)
-      ~is_free:(fun () -> Cohort.is_free lock)
-      ()
+       face blocks, and blocked waiters are beyond the lock's reach, so
+       there is no recovery either. *)
+    let l = Stb_lock.create ~home ~spin_us ?vclass machine in
+    {
+      name;
+      acquire = Stb_lock.acquire l;
+      release = Stb_lock.release l;
+      try_acquire = Stb_lock.try_acquire l;
+      try_acquire_for = blocking_for (Stb_lock.acquire l);
+      abortable = false;
+      recover = (fun _ -> false);
+      recoverable = false;
+      is_free = (fun () -> not (Stb_lock.is_held l));
+      waiters = (fun () -> Stb_lock.waiters l);
+      acquisitions = (fun () -> Stb_lock.acquisitions l);
+      transferred = transferred (Stb_lock.vclass l) (Stb_lock.vid l);
+    }
   | Hmcs { threshold } ->
-    let lock = Hmcs.create ~home ~threshold ?vclass ~topo machine in
-    instrumented ~name:(algo_name algo)
-      ~acquire:(fun ctx -> Hmcs.acquire lock ctx)
-      ~release:(fun ctx -> Hmcs.release lock ctx)
-      ~try_acquire:(fun ctx ->
-        Hmcs.acquire lock ctx;
-        true)
-      ~try_acquire_for:(fun ctx ~deadline ->
-        Hmcs.try_acquire_for lock ctx ~deadline)
-      ~abortable:true
-      ~recover:(fun ctx -> Hmcs.Core.recover lock ctx)
-      ~is_free:(fun () -> Hmcs.is_free lock)
-      ()
+    let l = Hmcs.create ~home ~threshold ?vclass ~topo machine in
+    {
+      name;
+      acquire = Hmcs.acquire l;
+      release = Hmcs.release l;
+      (* The timed face is the true abortable entry point. *)
+      try_acquire = blocking (Hmcs.acquire l);
+      try_acquire_for = Hmcs.try_acquire_for l;
+      abortable = true;
+      recover = Hmcs.recover l;
+      recoverable = true;
+      is_free = (fun () -> Hmcs.is_free l);
+      waiters = (fun () -> Hmcs.waiters l);
+      acquisitions = (fun () -> Hmcs.acquisitions l);
+      transferred = transferred (Hmcs.vclass l) (Hmcs.vid l);
+    }
   | Cna { threshold } ->
-    let lock = Cna.create ~home ~threshold ?vclass ~topo machine in
-    instrumented ~name:(algo_name algo)
-      ~acquire:(fun ctx -> Cna.acquire lock ctx)
-      ~release:(fun ctx -> Cna.release lock ctx)
-      ~try_acquire:(fun ctx ->
-        Cna.acquire lock ctx;
-        true)
-      ~try_acquire_for:(fun ctx ~deadline ->
-        Cna.try_acquire_for lock ctx ~deadline)
-      ~abortable:true
-      ~recover:(fun ctx -> Cna.Core.recover lock ctx)
-      ~is_free:(fun () -> Cna.is_free lock)
-      ()
+    let l = Cna.create ~home ~threshold ?vclass ~topo machine in
+    {
+      name;
+      acquire = Cna.acquire l;
+      release = Cna.release l;
+      try_acquire = blocking (Cna.acquire l);
+      try_acquire_for = Cna.try_acquire_for l;
+      abortable = true;
+      recover = Cna.recover l;
+      recoverable = true;
+      is_free = (fun () -> Cna.is_free l);
+      waiters = (fun () -> Cna.waiters l);
+      acquisitions = (fun () -> Cna.acquisitions l);
+      transferred = transferred (Cna.vclass l) (Cna.vid l);
+    }
+  | Cohort { local; global; max_handoffs } ->
+    check_cohort_constituent local;
+    check_cohort_constituent global;
+    Cohort.create ?vclass ~max_handoffs ~name ~topo
+      ~local:(fun ~home ~vclass -> make machine ~home ~vclass local)
+      ~global:(fun ~vclass -> make machine ~home ~vclass global)
+      machine
   | Adaptive { numa } ->
-    (* Morphing lock: three pre-created shapes sharing one lockdep class
-       (distinct instance ids), routed through Adaptive's mode word. The
-       NUMA shape reuses the RW-writer constituent builder, which is the
-       one that knows the composites' *dynamic* abortable/recoverable
-       capabilities. *)
+    (* Morphing lock: three shapes sharing one lockdep class (distinct
+       instance ids), routed through Adaptive's mode word. *)
     (match numa with
     | Cohort _ | Hmcs _ | Cna _ -> ()
     | _ ->
@@ -423,62 +339,40 @@ let make machine ?(home = 0) ?vclass ?topo algo =
            "Lock.make: Adaptive's numa shape must be a NUMA composite \
             (Cohort/Hmcs/Cna), not %s"
            (algo_name numa)));
-    let vcls = Option.value vclass ~default:"adaptive" in
+    let vclass = Option.value vclass ~default:"adaptive" in
     (* The test&set shape caps its backoff far below the standalone
        Spin default: by construction it only ever serves light traffic
        (contention promotes the lock away from it), and a tight cap is
        what lets a saturated spin shape drain quickly after a morph —
        with the 35us cap, the post-morph drain of a full complement of
        backed-off waiters is as slow as the spin shape itself. *)
-    let ts =
-      packed_of_algo machine ~home ~vclass:vcls (Spin { max_backoff_us = 5.0 })
-    in
-    let queue = packed_of_algo machine ~home ~vclass:vcls Mcs_h1 in
-    let numa_p, numa_abortable, numa_recoverable =
-      rw_writer machine ~home ~topo numa ~vclass:vcls
-    in
-    let abortable =
-      Lock_core.p_abortable ts && Lock_core.p_abortable queue && numa_abortable
-    in
-    let recoverable =
-      Lock_core.p_recoverable ts
-      && Lock_core.p_recoverable queue
-      && numa_recoverable
-    in
-    let lock =
-      Adaptive.create ~home ~vclass:vcls ~name:(algo_name algo) ~topo
-        ~shapes:[| ts; queue; numa_p |]
-        ~abortable ~recoverable machine
-    in
-    instrumented ~name:(algo_name algo)
-      ~acquire:(fun ctx -> Adaptive.acquire lock ctx)
-      ~release:(fun ctx -> Adaptive.release lock ctx)
-      ~try_acquire:(fun ctx -> Adaptive.try_acquire lock ctx)
-      ~try_acquire_for:(fun ctx ~deadline ->
-        Adaptive.try_acquire_for lock ctx ~deadline)
-      ~abortable
-      ?recover:
-        (if recoverable then Some (fun ctx -> Adaptive.recover lock ctx)
-         else None)
-      ~is_free:(fun () -> Adaptive.is_free lock)
-      ()
+    let shape algo = make machine ~home ~vclass ~topo algo in
+    let ts = shape (Spin { max_backoff_us = 5.0 }) in
+    let queue = shape Mcs_h1 in
+    let numa = shape numa in
+    Adaptive.create ~home ~vclass ~name ~topo ~shapes:[| ts; queue; numa |]
+      machine
   | Rw { writer; policy; centralised } ->
     (* The uniform record is the *writer* face; workloads wanting the
        reader side build the lock with [make_rw] instead. *)
-    let lock = make_rw machine ~home ?vclass ~topo ~policy ~centralised writer in
-    instrumented ~name:(algo_name algo)
-      ~acquire:(fun ctx -> Rwlock.acquire lock ctx)
-      ~release:(fun ctx -> Rwlock.release lock ctx)
-      ~try_acquire:(fun ctx -> Rwlock.try_acquire lock ctx)
-      ~try_acquire_for:(fun ctx ~deadline ->
-        Rwlock.try_acquire_for lock ctx ~deadline)
-      ~abortable:(Rwlock.abortable lock)
-      ?recover:
-        (if Rwlock.recoverable lock then
-           Some (fun ctx -> Rwlock.recover lock ctx)
-         else None)
-      ~is_free:(fun () -> Rwlock.is_free lock)
-      ()
+    Rwlock.lock
+      (make_rw machine ~home ?vclass ~topo ~policy ~centralised writer)
+
+(* The RW composite itself, with both faces. *)
+and make_rw machine ?home ?(vclass = "rwlock") ?topo ~policy ~centralised
+    writer_algo =
+  check_writer writer_algo;
+  let topo =
+    match topo with Some t -> t | None -> Lock_core.topo_of_machine machine
+  in
+  let writer =
+    make machine
+      ~home:(Option.value home ~default:0)
+      ~vclass:(vclass ^ ".writer") ~topo writer_algo
+  in
+  Rwlock.create ?home ~vclass ~policy ~centralised
+    ~name:(algo_name (Rw { writer = writer_algo; policy; centralised }))
+    ~topo ~writer machine
 
 (* Crash-tolerant acquire: poll in bounded slices so a dead holder is
    noticed and repaired instead of being waited on forever. Each slice is a

@@ -1,53 +1,46 @@
 (** Uniform lock interface over every algorithm the paper compares.
 
-    Workloads take a [t] and stay agnostic of the algorithm; [make] builds
-    one from an [algo] tag. *)
+    Workloads take a [t] and stay agnostic of the algorithm; [make] is the
+    one constructor, building a [t] from an [algo] tag — composites
+    recursively, each constituent a [make] call of its own. [t] is
+    {!Lock_core.t}, re-exported here. *)
 
 open Hector
 
-type t = {
+type t = Lock_core.t = {
   name : string;
   acquire : Ctx.t -> unit;
   release : Ctx.t -> unit;
   try_acquire : Ctx.t -> bool;
   try_acquire_for : Ctx.t -> deadline:int -> bool;
-      (** Timed acquisition against an absolute deadline (in
-          [Machine.now] units). On an abortable algorithm ([abortable]),
-          returns [false] — holding nothing, with all queue state
-          eventually repaired — once the deadline expires; may return
-          [true] past the deadline when a hand-off committed first (a
-          committed grant must be consumed — nobody else ever will). An
-          already-expired deadline fails without touching the lock. On a
-          non-abortable algorithm this simply blocks, acquires, and
-          returns [true].
-
-          Abortability matrix:
+      (** Timed acquisition against an absolute deadline (see
+          {!Lock_core.t}). Abortability is per instance:
           - abortable: Spin, MCS (all variants), CLH, Anderson, HMCS,
-            CNA, Null, any Cohort whose two constituents are both
-            abortable, and any Adaptive whose NUMA shape is abortable
+            CNA, Null, any Cohort whose constituents are all abortable,
+            any Rw whose writer is, and any Adaptive whose NUMA shape is
             (its test&set and MCS shapes always are);
           - non-abortable (timed face blocks): Ticket (a drawn ticket
             cannot be handed back), Spin_then_block (wakeup is the
-            scheduler's promise). *)
+            scheduler's promise), and every composite over one of them
+            (a Cohort with a Ticket constituent, Rw or Adaptive over that
+            cohort). *)
   abortable : bool;
   recover : Ctx.t -> bool;
-      (** Dead-holder recovery: if the processor holding the lock has
-          fail-stopped, force the release it will never perform (the
-          thread-oblivious release run by the detector) and return [true];
-          [false] when the lock is free, the holder is alive, the
-          algorithm is not recoverable, or another recovery is in flight.
-          The caller does not hold the lock afterwards — it re-contends.
-
-          Recoverability matrix: every base and composite algorithm except
+      (** Dead-holder recovery (see {!Lock_core.t}). Recoverability
+          matrix: every base and composite algorithm except
           [Spin_then_block] (blocked waiters are the scheduler's, beyond
-          the lock's reach) and [Null]; a [Cohort] is recoverable iff both
-          constituents are, and an [Adaptive] iff its NUMA shape is.
-          Ticket is recoverable despite being non-abortable — its waiters
-          run the dead-holder check inside their own spin. *)
+          the lock's reach) and [Null]; a [Cohort] is recoverable iff its
+          constituents are, an [Rw] iff its writer is, and an [Adaptive]
+          iff its NUMA shape is. Ticket is recoverable despite being
+          non-abortable — its waiters run the dead-holder check inside
+          their own spin. *)
   recoverable : bool;
   is_free : unit -> bool;
-  acquires : int ref;
-  wait_cycles : int ref;
+  waiters : unit -> bool;
+  acquisitions : unit -> int;
+      (** Completed acquisitions: [acquire], and successful
+          [try_acquire] and [try_acquire_for] calls. *)
+  transferred : Ctx.t -> unit;
 }
 
 type algo =
@@ -117,10 +110,15 @@ val all_numa_algos : algo list
 val adaptive : algo
 
 (** [vclass] names the lock-order class reported to an installed
-    {!Verify.t} checker; defaults to a per-algorithm class name. [topo] is
-    the cluster topology the NUMA-aware composites ([Cohort], [Hmcs],
-    [Cna]) are built against, defaulting to the machine's hardware
-    stations; base algorithms ignore it. *)
+    {!Verify.t} checker; defaults to a per-algorithm class name (a
+    composite's constituents report under suffixed classes: [".local"] /
+    [".global"], [".writer"]; Adaptive's three shapes share its class).
+    [topo] is the cluster topology the cluster-aware locks ([Cohort],
+    [Hmcs], [Cna], [Rw], and [Adaptive] through its NUMA shape) are built
+    against, defaulting to the machine's hardware stations; base
+    algorithms ignore it. Raises [Invalid_argument] for a constituent the
+    composite does not accept, a topology that maps a processor outside
+    [0, n_clusters), and a machine lacking an algorithm's atomics. *)
 val make :
   Machine.t -> ?home:int -> ?vclass:string -> ?topo:Lock_core.topo -> algo -> t
 
@@ -144,9 +142,6 @@ val make_rw :
 (** A lock that does nothing; calibration probes use it to measure a path
     with locking subtracted. *)
 val null : t
-
-val of_spin : Spin_lock.t -> t
-val of_mcs : Mcs.t -> t
 
 (** Crash-tolerant acquire: timed-acquisition slices of [check_period]
     cycles (default 2000) with a dead-holder {!recover} between them, so a

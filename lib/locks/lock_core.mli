@@ -1,116 +1,76 @@
-(** The core lock-algorithm signature, as a first-class-module interface.
+(** The one lock interface: a record of closures over a lock instance.
 
-    Every base algorithm in [lib/locks] ([Spin_lock], [Mcs], [Clh],
-    [Ticket_lock], [Anderson_lock]) exposes a [Core] module implementing
-    {!S}; the NUMA-aware composites ({!Cohort}, and — natively — [Hmcs]
-    and [Cna]) are built against {!OPS}/{!S} rather than any concrete
-    lock, so any local lock can be paired with any global lock. *)
+    Every algorithm in [lib/locks] is reached through a {!t}, built by
+    [Lock.make]; the composites ({!Cohort}, {!Rwlock}, {!Adaptive}) take
+    their constituents as {!t} values too, so any algorithm can sit inside
+    any composite that accepts it. Capabilities ([abortable],
+    [recoverable]) are per instance: a cohort over a ticket constituent is
+    not abortable, the same combinator over two MCS locks is. *)
 
 open Hector
 
 (** Cluster topology a NUMA-aware lock is constructed against: which of
     [n_clusters] clusters each processor belongs to. [cluster_of] must be
     total over the machine's processors and return values in
-    [0, n_clusters). *)
+    [0, n_clusters); {!cluster_homes} checks the range. *)
 type topo = { n_clusters : int; cluster_of : int -> int }
 
 (** The machine's own hardware stations as a topology — the default when a
     lock is built without an explicit [Clustering]. *)
 val topo_of_machine : Machine.t -> topo
 
-(** [cluster_topo] with explicit values; validates the bounds. *)
+(** A topology from explicit values. Raises [Invalid_argument] if
+    [n_clusters <= 0]; the range of [cluster_of] is checked where a lock
+    is built against it ({!cluster_homes}). *)
 val topo : n_clusters:int -> cluster_of:(int -> int) -> topo
 
-(** Operations on an already-created lock instance: the algorithm-agnostic
-    surface the composites and the uniform {!Lock.t} record need. *)
-module type OPS = sig
-  type t
+(** [cluster_homes machine topo] is the lowest processor of each cluster,
+    [-1] for a cluster with no processors — where per-cluster lock state
+    is homed. Raises [Invalid_argument] if [cluster_of] maps some
+    processor outside [0, n_clusters). What an empty cluster means is the
+    caller's policy. *)
+val cluster_homes : Machine.t -> topo -> int array
 
-  val name : t -> string
-
-  val acquire : t -> Ctx.t -> unit
-  val release : t -> Ctx.t -> unit
-
-  (** Non-blocking where the algorithm supports one; algorithms without a
-      cheap TryLock (CLH, ticket, Anderson) acquire and return [true]. *)
-  val try_acquire : t -> Ctx.t -> bool
-
-  (** Timed acquisition (the HMCS-T face). [deadline] is an absolute
-      simulated time ([Machine.now]); the call returns [true] holding the
-      lock, or — on an abortable algorithm — [false] with no residual
-      effect on the lock once its abandoned node has been reclaimed by a
-      later hand-off. An already-expired deadline ([deadline <= now]) must
-      fail without touching the lock. Non-abortable algorithms
-      ([abortable = false]) ignore the deadline: they block, acquire, and
-      return [true]. *)
-  val try_acquire_for : t -> Ctx.t -> deadline:int -> bool
-
-  (** Capability probe: [true] iff {!try_acquire_for} can actually fail
-      past the deadline rather than degenerate to a blocking acquire. *)
-  val abortable : bool
-
-  (** Dead-holder recovery. If the current holder has fail-stopped
-      ([Machine.proc_alive] is the detector — fail-stop crashes are
-      detectable), force the hand-off the corpse will never perform and
-      return [true]; return [false] (with no effect on the lock) when the
-      lock is free, the holder is alive, or another recovery is already in
-      flight. The caller does {e not} hold the lock afterwards: recovery
-      re-opens the normal hand-off path and the recoverer re-contends. *)
-  val recover : t -> Ctx.t -> bool
-
-  (** Capability probe: [true] iff {!recover} can actually repair a dead
-      holder rather than being a constant [false]. *)
-  val recoverable : bool
-
-  (** Untimed, for assertions. *)
-  val is_free : t -> bool
-
-  (** Untimed hint: is some processor queued or spinning behind the current
-      holder? Used by cohort-style releases to decide whether a cluster-local
-      hand-off is possible; a conservative [false] only costs locality, never
-      correctness. *)
-  val waiters : t -> bool
-
-  (** Completed acquisitions (blocking and successful non-blocking). *)
-  val acquisitions : t -> int
-
-  (** The lock-order class this instance reports to {!Verify}. *)
-  val vclass : t -> Verify.lock_class
-
-  (** The {!Verify} instance identity this lock reports under (drawn from
-      {!Verify.fresh_id} at creation). *)
-  val vid : t -> int
-end
-
-(** A full algorithm: instance operations plus construction. *)
-module type S = sig
-  include OPS
-
-  (** Algorithm name, as shown in reports ("MCS", "CLH", ...). *)
-  val algo : string
-
-  val create : ?home:int -> ?vclass:string -> Machine.t -> t
-end
-
-(** A lock instance packed with its operations — the dynamic counterpart
-    of {!S}, letting [Lock.make] compose algorithms chosen at runtime. *)
-type packed = Packed : (module OPS with type t = 'a) * 'a -> packed
-
-val pack : (module OPS with type t = 'a) -> 'a -> packed
-
-val p_name : packed -> string
-val p_acquire : packed -> Ctx.t -> unit
-val p_release : packed -> Ctx.t -> unit
-val p_try_acquire : packed -> Ctx.t -> bool
-val p_try_acquire_for : packed -> Ctx.t -> deadline:int -> bool
-val p_abortable : packed -> bool
-val p_recover : packed -> Ctx.t -> bool
-val p_recoverable : packed -> bool
-val p_is_free : packed -> bool
-val p_waiters : packed -> bool
-val p_acquisitions : packed -> int
-
-(** Report to the installed checker (if any) that the calling processor
-    inherited this still-held lock — see {!Verify.transferred}. Fired by
-    {!Cohort} when a pass recipient inherits the global constituent. *)
-val p_transferred : packed -> Ctx.t -> unit
+type t = {
+  name : string;
+  acquire : Ctx.t -> unit;
+  release : Ctx.t -> unit;
+  try_acquire : Ctx.t -> bool;
+      (** Non-blocking where the algorithm supports one; algorithms
+          without a cheap TryLock (CLH, Ticket, Anderson, HMCS, CNA)
+          acquire and return [true]. *)
+  try_acquire_for : Ctx.t -> deadline:int -> bool;
+      (** Timed acquisition against an absolute deadline (in
+          [Machine.now] units). On an abortable lock ([abortable]),
+          returns [false] — holding nothing, with all queue state
+          eventually repaired — once the deadline expires; may return
+          [true] past the deadline when a hand-off committed first (a
+          committed grant must be consumed — nobody else ever will). An
+          already-expired deadline ([deadline <= now]) fails without
+          touching the lock. On a non-abortable lock this simply blocks,
+          acquires, and returns [true]. *)
+  abortable : bool;  (** [try_acquire_for] can actually give up *)
+  recover : Ctx.t -> bool;
+      (** Dead-holder recovery: if the processor holding the lock has
+          fail-stopped ([Machine.proc_alive] is the detector), force the
+          release it will never perform and return [true]; [false] when
+          the lock is free, the holder is alive, the lock is not
+          recoverable, or another recovery is in flight. The caller does
+          not hold the lock afterwards — it re-contends. *)
+  recoverable : bool;  (** [recover] can actually repair a dead holder *)
+  is_free : unit -> bool;  (** untimed, for assertions *)
+  waiters : unit -> bool;
+      (** Untimed hint: is some processor queued or spinning behind the
+          current holder? Cohort releases consult it to decide whether a
+          cluster-local hand-off is possible; a conservative [false] only
+          costs locality, never correctness. *)
+  acquisitions : unit -> int;
+      (** Completed acquisitions through [acquire], a successful
+          [try_acquire] and a successful [try_acquire_for]. *)
+  transferred : Ctx.t -> unit;
+      (** Report to the installed {!Verify} checker (if any), under this
+          instance's class and id, that the calling processor inherited
+          the still-held lock — see {!Verify.transferred}. Fired by
+          {!Cohort} when a pass recipient inherits the global
+          constituent. Host-side only. *)
+}

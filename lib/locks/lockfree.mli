@@ -13,9 +13,6 @@ val counter_value : counter -> int
 val counter_cell : counter -> Cell.t
 val counter_cas_failures : counter -> int
 
-(** Returns the previous value. *)
-val counter_add : counter -> Ctx.t -> int -> int
-
 val counter_incr : counter -> Ctx.t -> int
 
 (** Atomic bit updates on any status word; both return the previous

@@ -64,10 +64,9 @@ type t = {
   mutable holder : int; (* qnode id holding the lock; bookkeeping only *)
   mutable acquisitions : int;
   mutable repairs : int; (* releases that found old_tail <> I *)
-  mutable grafts : int; (* repairs that found a usurper *)
   mutable try_failures : int;
   mutable gc_count : int; (* abandoned nodes collected by release *)
-  mutable timeouts : int; (* acquire_with_timeout deadline expiries *)
+  mutable timeouts : int; (* try_acquire_for deadline expiries *)
   mutable recovering : bool; (* serialises dead-holder recoverers *)
   vcls : Verify.lock_class;
   vid : int;
@@ -113,7 +112,6 @@ let create ?(variant = H2) ?(home = 0) ?(use_cas_release = false)
     holder = nil;
     acquisitions = 0;
     repairs = 0;
-    grafts = 0;
     try_failures = 0;
     gc_count = 0;
     timeouts = 0;
@@ -122,12 +120,10 @@ let create ?(variant = H2) ?(home = 0) ?(use_cas_release = false)
     vid = Verify.fresh_id ();
   }
 
-let variant t = t.variant
-let name t = variant_name t.variant
 let vclass t = t.vcls
+let vid t = t.vid
 let acquisitions t = t.acquisitions
 let repairs t = t.repairs
-let grafts t = t.grafts
 let try_failures t = t.try_failures
 let gc_count t = t.gc_count
 let timeouts t = t.timeouts
@@ -144,6 +140,13 @@ let interrupt_node t proc = t.nodes.(Machine.n_procs t.machine + proc)
 (* Untimed; for test assertions. *)
 let is_held t = t.holder <> nil
 let is_free t = Cell.peek t.tail = nil && t.holder = nil
+
+(* The untimed queue-non-empty hint a cohort release consults: the tail
+   trailing the holder's node means someone enqueued behind it. An
+   abandoned TryLock node also counts — the hint may overshoot, never
+   deadlock, since local passing only needs the global lock to stay held,
+   which it does. *)
+let waiters t = t.holder <> nil && Cell.peek t.tail <> t.holder
 let holder_proc t = if t.holder = nil then None else Some (node_of_id t t.holder).owner
 
 (* Spin locally until our locked flag clears. Each poll is a load from the
@@ -231,7 +234,6 @@ let successor_after t ctx node ~check_next =
       if usurper <> nil then begin
         (* The usurper (tail of the new chain) just enqueued on an empty
            queue, so its next is nil and stays ours to set. *)
-        t.grafts <- t.grafts + 1;
         Ctx.write ctx (node_of_id t usurper).next victim;
         `Grafted
       end
@@ -409,7 +411,7 @@ let try_acquire_v2 t ctx =
 
 (* Timeout-capable acquire, on the interrupt node (Chabbi et al.'s MCS-try
    family, adapted to the fetch&store-only queue): enqueue and spin like a
-   normal acquire, but give up once [timeout] cycles pass. A timed-out node
+   normal acquire, but give up once the deadline passes. A timed-out node
    is abandoned in place — marked, exactly like a failed TryLock-v2 node —
    and a later release collects it with the same GC machinery.
 
@@ -419,8 +421,9 @@ let try_acquire_v2 t ctx =
    [mark_abandoned]. Whichever swap lands first wins the node, so the lock
    is never handed to a waiter that already left, and a waiter never walks
    away from a hand-off that already committed. *)
-let acquire_with_timeout t ctx ~timeout =
-  if timeout <= 0 then begin
+let try_acquire_for t ctx ~deadline =
+  let budget = deadline - Machine.now t.machine in
+  if budget <= 0 then begin
     (* Already-expired deadline: fail before touching the lock — no
        enqueue, no reads, no hook traffic (pinned by test_mcs). *)
     t.timeouts <- t.timeouts + 1;
@@ -437,7 +440,9 @@ let acquire_with_timeout t ctx ~timeout =
   end
   else begin
     Vhook.wait_acquire_timed ctx ~cls:t.vcls ~id:t.vid;
-    let deadline = Machine.now t.machine + timeout in
+    (* The node probe above is not charged to the wait: the spin gets the
+       whole budget the caller had on entry. *)
+    let deadline = Machine.now t.machine + budget in
     (match t.variant with
     | Original -> Ctx.write ctx node.next nil
     | H1 | H2 -> ());
@@ -494,57 +499,3 @@ let acquire_with_timeout t ctx ~timeout =
     end
   end
   end
-
-(* The {!Lock_core} timed face: absolute deadline, delegating to the
-   relative-timeout entry point above. *)
-let try_acquire_for t ctx ~deadline =
-  acquire_with_timeout t ctx ~timeout:(deadline - Machine.now t.machine)
-
-(* Core-interface view (H2 variant, the kernel's default). [waiters] is the
-   untimed queue-non-empty hint a cohort release consults: the tail trailing
-   the holder's node means someone enqueued behind it (an abandoned TryLock
-   node also counts — the hint may overshoot, never deadlock, since the
-   passed-to local head re-checks nothing: local passing only needs the
-   global lock to stay held, which it does). *)
-module Core = struct
-  type nonrec t = t
-
-  let algo = "MCS"
-  let name = name
-
-  let create ?(home = 0) ?(vclass = "mcs") machine =
-    create ~variant:H2 ~home ~vclass machine
-
-  let acquire = acquire
-  let release = release
-  let try_acquire = try_acquire_v2
-  let try_acquire_for = try_acquire_for
-  let abortable = true
-  let recover = recover
-  let recoverable = true
-  let is_free = is_free
-  let waiters t = t.holder <> nil && Cell.peek t.tail <> t.holder
-  let acquisitions = acquisitions
-  let vclass = vclass
-  let vid t = t.vid
-end
-
-(* The H1 face, for compositions. H2's removed successor check means every
-   contended release runs the fetch&store repair, opening a short window in
-   which the tail reads nil and a re-enqueuing processor usurps the lock
-   past the whole queue. Stacked under a combinator whose release path has
-   a long deterministic stretch (a cohort's global hand-off), that window
-   resonates with the re-enqueue cadence and the usurped queue can starve.
-   H1 keeps the fetch&store-only discipline but hands off directly whenever
-   the successor link is visible, so a deep queue never opens the window. *)
-let create_h1 ?(home = 0) ?(vclass = "mcs") machine =
-  create ~variant:H1 ~home ~vclass machine
-
-module Core_h1 = struct
-  include Core
-
-  let algo = "H1-MCS"
-
-  (* [include Core] shadowed the variant-taking [create] above. *)
-  let create = create_h1
-end

@@ -35,23 +35,18 @@ val create :
   Machine.t ->
   t
 
-val variant : t -> variant
-val name : t -> string
-
 val acquisitions : t -> int
 
 (** Releases that found [old_tail <> I] and had to repair the queue. *)
 val repairs : t -> int
-
-(** Repairs that found a usurper and grafted the victims behind it. *)
-val grafts : t -> int
 
 val try_failures : t -> int
 
 (** Abandoned TryLock nodes collected by releases. *)
 val gc_count : t -> int
 
-(** Deadline expiries in {!acquire_with_timeout}. *)
+(** Deadline expiries in {!try_acquire_for}, fail-fast refusals
+    included. *)
 val timeouts : t -> int
 
 (** Untimed; for test assertions. *)
@@ -60,19 +55,15 @@ val is_held : t -> bool
 val is_free : t -> bool
 val holder_proc : t -> int option
 
+(** Untimed hint: someone is queued behind the holder (an abandoned node
+    counts too — the hint may overshoot). *)
+val waiters : t -> bool
+
+val vclass : t -> Verify.lock_class
+val vid : t -> int
+
 val acquire : t -> Ctx.t -> unit
 val release : t -> Ctx.t -> unit
-
-(** The {!Lock_core.S} view: H2 variant, TryLock v2. [waiters] is the
-    untimed tail-behind-holder hint cohort releases consult. *)
-module Core : Lock_core.S with type t = t
-
-(** {!Core} with the H1 variant: release checks the successor link before
-    the fetch&store, so a contended hand-off opens no repair window. Use
-    this face inside compositions — H2's per-release window resonates with
-    re-enqueue timing under a combinator's longer release path and can
-    starve the queue behind a repeating usurper. *)
-module Core_h1 : Lock_core.S with type t = t
 
 (** TryLock variant 1: fails only when the caller's own queue node is in
     use (i.e. the interrupt arrived on the lock holder's processor);
@@ -83,28 +74,26 @@ val try_acquire_v1 : t -> Ctx.t -> bool
     failure the node is abandoned in the queue for release to collect. *)
 val try_acquire_v2 : t -> Ctx.t -> bool
 
-(** Acquire with a deadline, on the caller's interrupt node: enqueue and
-    spin like {!acquire}, but give up after [timeout] cycles, abandoning
-    the node in the queue for release to collect (the TryLock-v2 GC
-    machinery). An atomic mark handshake resolves the race between a
+(** Acquire against an absolute deadline ([Machine.now] units), on the
+    caller's interrupt node: enqueue and spin like {!acquire}, but give up
+    once the deadline passes, abandoning the node in the queue for release
+    to collect (the TryLock-v2 GC machinery). The spin gets the whole
+    budget [deadline - now] the caller had on entry, counted from after
+    the node probe. An atomic mark handshake resolves the race between a
     hand-off and an abandonment, so a timed-out waiter that lost the race
     still takes the lock (returns [true]). Returns [false] — with the
     caller holding nothing — when the node is still queued from an earlier
     timeout or the deadline expired.
 
-    Edge semantics: [timeout <= 0] (a zero or already-expired deadline)
-    fails immediately with {e no} side effects on the lock — no enqueue, no
+    Edge semantics: [deadline <= now] (an already-expired deadline) fails
+    immediately with {e no} side effects on the lock — no enqueue, no
     memory traffic, no verification hooks; only the {!timeouts} counter
     advances. *)
-val acquire_with_timeout : t -> Ctx.t -> timeout:int -> bool
-
-(** {!acquire_with_timeout} against an absolute deadline ([Machine.now]
-    units) — the {!Lock_core.OPS.try_acquire_for} face. *)
 val try_acquire_for : t -> Ctx.t -> deadline:int -> bool
 
-(** Dead-holder recovery, the {!Lock_core.OPS.recover} face: if the
-    current holder has fail-stopped (per the machine's liveness oracle),
-    run {!release} on the corpse's behalf — hand-off and abandoned-node GC
-    included — and return [true]. Returns [false] when the lock is free,
-    the holder is alive, or another recoverer is already at work. *)
+(** Dead-holder recovery: if the current holder has fail-stopped (per
+    the machine's liveness oracle), run {!release} on the corpse's behalf
+    — hand-off and abandoned-node GC included — and return [true].
+    Returns [false] when the lock is free, the holder is alive, or another
+    recoverer is already at work. *)
 val recover : t -> Ctx.t -> bool

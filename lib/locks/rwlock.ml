@@ -3,8 +3,8 @@
    One indicator word per cluster, homed on that cluster's own PMM: value
    2*readers + gate bit. Readers CAS only their own cluster's word, so the
    steady-state read path is entirely cluster-local; a writer first takes
-   an ordinary exclusive lock (any [Lock_core.packed], so RW-cohort and
-   RW-CNA come free from the combinator), then sweeps every indicator —
+   an ordinary exclusive lock (any {!Lock_core.t}, so RW-cohort and RW-CNA
+   come free from the combinator), then sweeps every indicator —
    close the gate bit, wait for the reader count to drain. The [policy]
    picks the sweep shape: [Writer_blocking] slams every gate shut before
    draining any (readers machine-wide stop admitting at once);
@@ -33,9 +33,7 @@ type t = {
   topo : Lock_core.topo;
   policy : policy;
   centralised : bool;
-  writer : Lock_core.packed; (* serialises writers *)
-  w_abortable : bool;
-  w_recoverable : bool;
+  writer : Lock_core.t; (* serialises writers *)
   inds : Cell.t array; (* per cluster (or 1 if centralised) *)
   ind_cluster : int array; (* cluster each indicator word is homed in *)
   reader_inside : bool array; (* per proc; true iff its +2 is in-flight *)
@@ -56,32 +54,19 @@ type t = {
   vid : int; (* one instance id: readers and writers share it *)
 }
 
-(* Lowest processor of each cluster — the indicator homes (same convention
-   as [Cohort.create_packed]). *)
-let cluster_homes machine topo =
-  let n_clusters = topo.Lock_core.n_clusters in
-  let homes = Array.make n_clusters (-1) in
-  for p = Machine.n_procs machine - 1 downto 0 do
-    let c = topo.Lock_core.cluster_of p in
-    if c < 0 || c >= n_clusters then
-      invalid_arg "Rwlock.create: cluster_of out of range";
-    homes.(c) <- p
-  done;
+let create ?home ?(vclass = "rwlock") ?(policy = Writer_blocking)
+    ?(centralised = false) ~name ~topo ~writer machine =
+  if not (Machine.config machine).Config.has_cas then
+    invalid_arg "Rwlock.create: reader indicators need compare&swap";
+  (* Each cluster's indicator is homed at its lowest processor; an empty
+     cluster would have nobody to home it. *)
+  let homes = Lock_core.cluster_homes machine topo in
   Array.iteri
     (fun c h ->
       if h < 0 then
         invalid_arg (Printf.sprintf "Rwlock.create: cluster %d has no procs" c))
     homes;
-  homes
-
-let create ?home ?(vclass = "rwlock") ?(policy = Writer_blocking)
-    ?(centralised = false) ~name ~topo ~writer ?writer_abortable
-    ?writer_recoverable machine =
-  if not (Machine.config machine).Config.has_cas then
-    invalid_arg "Rwlock.create: reader indicators need compare&swap";
-  let homes = cluster_homes machine topo in
   let w_home = match home with Some h -> h | None -> homes.(0) in
-  let writer = writer ~vclass:(vclass ^ ".writer") in
   let inds =
     if centralised then
       [| Machine.alloc machine ~label:(vclass ^ ".readers") ~home:w_home 0 |]
@@ -102,14 +87,6 @@ let create ?home ?(vclass = "rwlock") ?(policy = Writer_blocking)
     policy;
     centralised;
     writer;
-    w_abortable =
-      (match writer_abortable with
-      | Some b -> b
-      | None -> Lock_core.p_abortable writer);
-    w_recoverable =
-      (match writer_recoverable with
-      | Some b -> b
-      | None -> Lock_core.p_recoverable writer);
     inds;
     ind_cluster;
     reader_inside = Array.make (Machine.n_procs machine) false;
@@ -130,21 +107,14 @@ let create ?home ?(vclass = "rwlock") ?(policy = Writer_blocking)
     vid = Verify.fresh_id ();
   }
 
-let name t = t.name
-let policy t = t.policy
-let centralised t = t.centralised
 let acquisitions t = t.acquisitions
 let read_acquisitions t = t.read_acquisitions
 let timeouts t = t.timeouts
 let read_timeouts t = t.read_timeouts
 let read_remote t = t.read_remote
 let reader_sweeps t = t.reader_sweeps
-let readers_now t = t.readers_now
 let readers_peak t = t.readers_peak
-let vclass t = t.vcls_wr
 let vclass_read t = t.vcls_rd
-let abortable t = t.w_abortable
-let recoverable t = t.w_recoverable
 
 let ind_index t proc =
   if t.centralised then 0 else t.topo.Lock_core.cluster_of proc
@@ -222,13 +192,6 @@ let release_read t ctx =
   reader_out t proc;
   Vhook.released_shared ctx ~cls:t.vcls_rd ~id:t.vid
 
-let try_acquire_read t ctx =
-  match try_admit t ctx with
-  | `Admitted ->
-    Vhook.try_acquired_shared ctx ~cls:t.vcls_rd ~id:t.vid;
-    true
-  | `Gated | `Raced -> false
-
 let try_acquire_read_for t ctx ~deadline =
   if Ctx.now ctx >= deadline then begin
     t.read_timeouts <- t.read_timeouts + 1;
@@ -252,14 +215,10 @@ let try_acquire_read_for t ctx ~deadline =
     go ()
   end
 
-let with_read t ctx f =
-  acquire_read t ctx;
-  Fun.protect ~finally:(fun () -> release_read t ctx) f
-
 (* -- writer side ---------------------------------------------------------- *)
 
 (* Set the gate bit on indicator [i]: CAS retry against concurrent reader
-   arithmetic. Only the (unique, packed-serialised) writer sets gates, so
+   arithmetic. Only the (unique, [writer]-serialised) writer sets gates, so
    an already-set bit means our own earlier close. *)
 let close_gate t ctx i =
   let rec go () =
@@ -337,7 +296,7 @@ let got_write t ctx =
 
 let acquire t ctx =
   Vhook.wait_acquire ctx ~cls:t.vcls_wr ~id:t.vid;
-  Lock_core.p_acquire t.writer ctx;
+  t.writer.acquire ctx;
   t.writer_proc <- Ctx.proc ctx;
   let ok = sweep t ctx ~deadline:(-1) in
   assert ok;
@@ -357,10 +316,10 @@ let release t ctx =
     open_gate t ctx i
   done;
   t.writer_proc <- -1;
-  Lock_core.p_release t.writer ctx
+  t.writer.release ctx
 
 let try_acquire t ctx =
-  if not (Lock_core.p_try_acquire t.writer ctx) then false
+  if not (t.writer.try_acquire ctx) then false
   else begin
     t.writer_proc <- Ctx.proc ctx;
     (* One-shot drain: close the gates, then demand every indicator is
@@ -371,13 +330,13 @@ let try_acquire t ctx =
     end
     else begin
       t.writer_proc <- -1;
-      Lock_core.p_release t.writer ctx;
+      t.writer.release ctx;
       false
     end
   end
 
 let try_acquire_for t ctx ~deadline =
-  if not t.w_abortable then begin
+  if not t.writer.abortable then begin
     acquire t ctx;
     true
   end
@@ -387,14 +346,14 @@ let try_acquire_for t ctx ~deadline =
   end
   else begin
     Vhook.wait_acquire_timed ctx ~cls:t.vcls_wr ~id:t.vid;
-    if not (Lock_core.p_try_acquire_for t.writer ctx ~deadline) then begin
+    if not (t.writer.try_acquire_for ctx ~deadline) then begin
       t.timeouts <- t.timeouts + 1;
       Vhook.wait_abandoned ctx;
       false
     end
     else begin
       t.writer_proc <- Ctx.proc ctx;
-      (* The packed lock may have been delivered by a committed hand-off
+      (* The writer lock may have been delivered by a committed hand-off
          past the deadline; still attempt one sweep pass so forward
          progress matches the cohort convention, but bound the drains. *)
       if sweep t ctx ~deadline then begin
@@ -403,7 +362,7 @@ let try_acquire_for t ctx ~deadline =
       end
       else begin
         t.writer_proc <- -1;
-        Lock_core.p_release t.writer ctx;
+        t.writer.release ctx;
         t.timeouts <- t.timeouts + 1;
         Vhook.wait_abandoned ctx;
         false
@@ -411,16 +370,12 @@ let try_acquire_for t ctx ~deadline =
     end
   end
 
-let with_write t ctx f =
-  acquire t ctx;
-  Fun.protect ~finally:(fun () -> release t ctx) f
-
 (* -- recovery ------------------------------------------------------------- *)
 
 (* Sweep the wreckage of fail-stopped processors: a dead reader's +2 is
    removed from its cluster's indicator (charged to the recoverer), a dead
    writer's release is run on its behalf, and a corpse queued inside the
-   packed writer lock is left to that lock's own recovery. Serialised by
+   exclusive writer lock is left to that lock's own recovery. Serialised by
    [recovering] — concurrent recoverers would double-decrement. *)
 let recover t ctx =
   if t.recovering then false
@@ -451,10 +406,10 @@ let recover t ctx =
           t.reader_inside;
         let wp = t.writer_proc in
         if wp >= 0 && not (Machine.proc_alive t.machine wp) then
-          if t.w_recoverable then begin
-            (* Reopen the corpse's gates and hand its packed lock on. The
+          if t.writer.recoverable then begin
+            (* Reopen the corpse's gates and hand its writer lock on. The
                composite [released] inside fires only if the sweep had
-               completed (see [release]); the packed constituent needs its
+               completed (see [release]); the writer constituent needs its
                own recovery, not a foreign release — its release path
                walks the caller's queue node. *)
             if t.w_acquired then begin
@@ -465,14 +420,14 @@ let recover t ctx =
               open_gate t ctx i
             done;
             t.writer_proc <- -1;
-            ignore (Lock_core.p_recover t.writer ctx);
+            ignore (t.writer.recover ctx);
             Vhook.recovered ctx ~cls:t.vcls_wr ~dead:wp;
             progress := true
           end
           else ()
-        else if wp < 0 && t.w_recoverable then
-          (* No registered writer: any corpse is inside the packed queue. *)
-          if Lock_core.p_recover t.writer ctx then progress := true;
+        else if wp < 0 && t.writer.recoverable then
+          (* No registered writer: any corpse is inside the writer lock. *)
+          if t.writer.recover ctx then progress := true;
         !progress)
   end
 
@@ -495,10 +450,27 @@ let acquire_read_recoverable ?(check_period = 2_000) t ctx =
 (* -- untimed probes ------------------------------------------------------- *)
 
 let is_free t =
-  Lock_core.p_is_free t.writer
+  t.writer.is_free ()
   && t.writer_proc = -1
   && Array.for_all (fun ind -> Cell.peek ind = 0) t.inds
   && not (Array.exists Fun.id t.reader_inside)
 
-let waiters t = Lock_core.p_waiters t.writer
+let waiters t = t.writer.waiters ()
 let readers t = Array.fold_left (fun n ind -> n + (Cell.peek ind asr 1)) 0 t.inds
+
+(* The writer face as the uniform lock record ([Lock.make (Rw ...)]). *)
+let lock t : Lock_core.t =
+  {
+    name = t.name;
+    acquire = acquire t;
+    release = release t;
+    try_acquire = try_acquire t;
+    try_acquire_for = try_acquire_for t;
+    abortable = t.writer.abortable;
+    recover = recover t;
+    recoverable = t.writer.recoverable;
+    is_free = (fun () -> is_free t);
+    waiters = (fun () -> waiters t);
+    acquisitions = (fun () -> t.acquisitions);
+    transferred = (fun ctx -> Vhook.transferred ctx ~cls:t.vcls_wr ~id:t.vid);
+  }

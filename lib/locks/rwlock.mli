@@ -8,7 +8,7 @@
     is the whole point (HURRICANE gets the same read locality from
     per-cluster replication; this gets it with one word per cluster and
     no invalidation protocol). A writer first acquires an ordinary
-    exclusive lock (any {!Lock_core.packed}: MCS, a cohort, CNA — so
+    exclusive lock (any {!Lock_core.t}: MCS, a cohort, CNA — so
     RW-cohort and RW-CNA come free from the combinator), then sweeps the
     indicators: set the gate bit (admission stops; the CAS admission
     checks the gate and increments in one atomic step), spin until the
@@ -46,15 +46,14 @@ type policy =
 (** Short tag used in report names: ["rp"] / ["wb"]. *)
 val policy_name : policy -> string
 
-(** [create ~name ~topo ~writer machine] builds the lock; [writer] builds
-    the exclusive constituent (it receives [vclass ^ ".writer"]).
-    [centralised] collapses the indicators to a single word homed at
-    [home] — the baseline the per-cluster layout is measured against.
-    [writer_abortable]/[writer_recoverable] override the packed
-    constituent's static capability flags (a runtime-composed cohort's
-    packed view reports the module defaults, not the instance's).
-    Raises [Invalid_argument] without compare&swap or on a cluster with
-    no processors. *)
+(** [create ~name ~topo ~writer machine] builds the lock over the
+    exclusive [writer] lock (built by the caller under
+    [vclass ^ ".writer"]); its writer face is abortable (recoverable)
+    exactly when [writer] is. [centralised] collapses the indicators to a
+    single word homed at [home] — the baseline the per-cluster layout is
+    measured against. Raises [Invalid_argument] without compare&swap, if
+    [topo] maps a processor out of range, or on a cluster with no
+    processors. *)
 val create :
   ?home:int ->
   ?vclass:string ->
@@ -62,23 +61,17 @@ val create :
   ?centralised:bool ->
   name:string ->
   topo:Lock_core.topo ->
-  writer:(vclass:string -> Lock_core.packed) ->
-  ?writer_abortable:bool ->
-  ?writer_recoverable:bool ->
+  writer:Lock_core.t ->
   Machine.t ->
   t
 
-val name : t -> string
-val policy : t -> policy
-val centralised : t -> bool
+(** The writer face as the uniform lock record, named [name]. *)
+val lock : t -> Lock_core.t
 
 (** {2 Reader side} *)
 
 val acquire_read : t -> Ctx.t -> unit
 val release_read : t -> Ctx.t -> unit
-
-(** One admission attempt; may fail spuriously under CAS interference. *)
-val try_acquire_read : t -> Ctx.t -> bool
 
 (** Timed admission: retry until the (absolute) deadline passes. Always
     abortable — an admission loop holds nothing it cannot walk away
@@ -89,9 +82,6 @@ val try_acquire_read_for : t -> Ctx.t -> deadline:int -> bool
     them, same slice/jitter discipline as [Lock.acquire_recoverable]. *)
 val acquire_read_recoverable : ?check_period:int -> t -> Ctx.t -> unit
 
-(** [acquire_read]/[release_read] around [f], exception-safe. *)
-val with_read : t -> Ctx.t -> (unit -> 'a) -> 'a
-
 (** {2 Writer side} *)
 
 val acquire : t -> Ctx.t -> unit
@@ -100,18 +90,10 @@ val acquire : t -> Ctx.t -> unit
     off the lock's own holder fields. *)
 val release : t -> Ctx.t -> unit
 
-(** Non-blocking: exclusive-lock TryLock, then a one-sample drain check;
-    backs out (gates reopened, exclusive lock released) if any reader is
-    inside. *)
-val try_acquire : t -> Ctx.t -> bool
-
 (** Timed: timed exclusive acquire, then a deadline-bounded sweep; a
     sweep expiry backs out. With a non-abortable [writer] constituent
-    this blocks (the {!Lock_core.OPS} convention). *)
+    this blocks (the {!Lock_core.t} convention). *)
 val try_acquire_for : t -> Ctx.t -> deadline:int -> bool
-
-(** [acquire]/[release] around [f], exception-safe. *)
-val with_write : t -> Ctx.t -> (unit -> 'a) -> 'a
 
 (** {2 Crash recovery}
 
@@ -119,18 +101,12 @@ val with_write : t -> Ctx.t -> (unit -> 'a) -> 'a
     reader's +2 is CASed back out of its cluster's indicator (one timed
     op sequence charged to the recoverer, reported as
     [Verify.released_dead]), a dead writer's release runs on its behalf
-    (gates reopened; the packed constituent is repaired through its own
+    (gates reopened; the writer constituent is repaired through its own
     [recover], never a foreign release), and with no registered writer
-    the packed queue itself is checked for corpses. Returns [true] if
+    the writer lock itself is checked for corpses. Returns [true] if
     anything was repaired. Serialised: a second concurrent recovery
     returns [false] immediately. *)
 val recover : t -> Ctx.t -> bool
-
-(** The writer face can actually abandon at a deadline. *)
-val abortable : t -> bool
-
-(** A dead {e writer} can be repaired (dead readers always can). *)
-val recoverable : t -> bool
 
 (** {2 Counters and probes} (host-side, untimed) *)
 
@@ -150,8 +126,6 @@ val read_remote : t -> int
 (** Dead-reader indicator sweeps performed by {!recover}. *)
 val reader_sweeps : t -> int
 
-val readers_now : t -> int
-
 (** High-water mark of concurrent readers — the reader-parallelism
     evidence no exclusive [Lock.algo] can produce. *)
 val readers_peak : t -> int
@@ -160,6 +134,6 @@ val readers_peak : t -> int
 val readers : t -> int
 
 val is_free : t -> bool
-val waiters : t -> bool
-val vclass : t -> Verify.lock_class
+
+(** The lock-order class readers report under (["<vclass>.read"]). *)
 val vclass_read : t -> Verify.lock_class

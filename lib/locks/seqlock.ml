@@ -15,7 +15,6 @@ type t = {
   mutable writer : int; (* proc inside a write section, -1 otherwise *)
   mutable writes : int;
   mutable repairs : int;
-  mutable read_hits : int;
   mutable read_aborts : int;
   vcls : Verify.lock_class;
   vid : int;
@@ -28,19 +27,15 @@ let create machine ?(home = 0) ?(vclass = "seqlock") () =
     writer = -1;
     writes = 0;
     repairs = 0;
-    read_hits = 0;
     read_aborts = 0;
     vcls = Verify.lock_class vclass;
     vid = Verify.fresh_id ();
   }
 
-let peek t = Cell.peek t.seq
 let write_in_progress t = Cell.peek t.seq land 1 <> 0
 let writes t = t.writes
 let repairs t = t.repairs
-let read_hits t = t.read_hits
 let read_aborts t = t.read_aborts
-let vclass t = t.vcls
 
 let write_begin t ctx =
   (* The shard lock serialises writers, so [shadow] is the word's current
@@ -100,7 +95,6 @@ let read_validate t ctx seq =
   let v = Ctx.read ctx t.seq in
   Ctx.instr ctx ~br:1 ();
   if v = seq then begin
-    t.read_hits <- t.read_hits + 1;
     (* A zero-length try-acquire/release pair: the read shows up in the
        contention profile under the seqlock's class but adds no lock-order
        edges (it never blocks). *)

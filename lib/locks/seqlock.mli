@@ -28,9 +28,6 @@ type t
     attributed to. *)
 val create : Machine.t -> ?home:int -> ?vclass:string -> unit -> t
 
-(** Untimed: current sequence value (tests / assertions). *)
-val peek : t -> int
-
 (** Untimed: is a writer inside a critical section? *)
 val write_in_progress : t -> bool
 
@@ -41,16 +38,11 @@ val writes : t -> int
 (** Sequence words rolled forward by {!recover_write}. *)
 val repairs : t -> int
 
-(** Successful optimistic reads ({!read_validate} returning [true]). *)
-val read_hits : t -> int
-
 (** Failed validations plus writer-busy samples — optimistic attempts that
     had to fall back to the caller's locked path. Each is also reported to
     an installed observer ([Obs.lock_optimistic_abort]) under the lock's
     class, at zero simulated cost. *)
 val read_aborts : t -> int
-
-val vclass : t -> Verify.lock_class
 
 (** {2 Writer side — caller must hold the data's writer lock} *)
 

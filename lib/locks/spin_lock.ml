@@ -38,7 +38,6 @@ let create machine ?(home = 0) ?(vclass = "spinlock") backoff =
 
 let acquisitions t = t.acquisitions
 let failed_attempts t = t.failed_attempts
-let home t = Cell.home t.flag
 
 (* Untimed: is the lock currently held? For assertions in tests. *)
 let is_held t = Cell.peek t.flag <> 0
@@ -75,6 +74,7 @@ let release t ctx =
   Ctx.instr ctx ~br:1 ()
 
 let vclass t = t.vcls
+let vid t = t.vid
 
 (* Dead-holder recovery: the release is a plain swap(L, 0), so any
    processor can perform it on the corpse's behalf — [holder_proc] is the
@@ -145,31 +145,3 @@ let try_acquire_for t ctx ~deadline =
     in
     attempt (Backoff.initial t.backoff)
   end
-
-(* Core-interface view: the 35 us capped backoff the paper uses for its
-   kernel spin locks. A test&set lock cannot tell whether anyone is backing
-   off against it, so [waiters] is conservatively false — a cohort built
-   over a spin local lock simply never passes locally. *)
-module Core = struct
-  type nonrec t = t
-
-  let algo = "Spin(35us)"
-  let name _ = algo
-
-  let create ?(home = 0) ?(vclass = "spinlock") machine =
-    let cfg = Machine.config machine in
-    create machine ~home ~vclass (Backoff.of_us cfg ~max_us:35.0 ())
-
-  let acquire = acquire
-  let release = release
-  let try_acquire = try_acquire
-  let try_acquire_for = try_acquire_for
-  let abortable = true
-  let recover = recover
-  let recoverable = true
-  let is_free t = not (is_held t)
-  let waiters _ = false
-  let acquisitions = acquisitions
-  let vclass = vclass
-  let vid t = t.vid
-end

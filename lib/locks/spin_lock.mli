@@ -20,13 +20,13 @@ val acquisitions : t -> int
     traffic). *)
 val failed_attempts : t -> int
 
-val home : t -> int
-
 (** Untimed, for test assertions. *)
 val is_held : t -> bool
 
-(** The lock-order class this lock reports under (test assertions). *)
+(** The lock-order class and instance id this lock reports under. *)
 val vclass : t -> Verify.lock_class
+
+val vid : t -> int
 
 val acquire : t -> Ctx.t -> unit
 val release : t -> Ctx.t -> unit
@@ -40,7 +40,8 @@ val try_acquire : t -> Ctx.t -> bool
     side-effect-free. *)
 val try_acquire_for : t -> Ctx.t -> deadline:int -> bool
 
-(** The {!Lock_core.S} view: creation defaults to the paper's 35 us capped
-    backoff. [waiters] is conservatively false (a test&set lock cannot see
-    its backers-off), so cohorts over a spin local never pass locally. *)
-module Core : Lock_core.S with type t = t
+(** Dead-holder recovery: if the holder has fail-stopped, run the
+    release (a plain swap) on its behalf and return [true]; [false] when
+    the lock is free, the holder is alive, or another recovery is in
+    flight. *)
+val recover : t -> Ctx.t -> bool

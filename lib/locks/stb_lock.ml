@@ -40,11 +40,15 @@ let create ?(home = 0) ?(spin_us = 5.0) ?(vclass = "stb") machine =
     vid = Verify.fresh_id ();
   }
 
-let flag t = t.flag
 let acquisitions t = t.acquisitions
 let blocks t = t.blocks
 let handoffs t = t.handoffs
 let is_held t = Cell.peek t.flag <> 0
+
+(* Only parked waiters are visible; spinners leave no trace. *)
+let waiters t = not (Queue.is_empty t.waiters)
+let vclass t = t.vcls
+let vid t = t.vid
 
 let acquire t ctx =
   Vhook.wait_acquire ctx ~cls:t.vcls ~id:t.vid;
@@ -91,10 +95,10 @@ let acquire t ctx =
   in
   spin 8
 
-(* Single test&set attempt, never blocking. (Deliberately does not count
-   towards [acquisitions], which tracks the blocking-path statistics.) *)
+(* Single test&set attempt, never blocking. *)
 let try_acquire t ctx =
   if Ctx.test_and_set ctx t.flag = 0 then begin
+    t.acquisitions <- t.acquisitions + 1;
     Vhook.try_acquired ctx ~cls:t.vcls ~id:t.vid;
     true
   end

@@ -11,7 +11,7 @@ type t
 (** [create machine] with a [spin_us] spinning budget before blocking. *)
 val create : ?home:int -> ?spin_us:float -> ?vclass:string -> Machine.t -> t
 
-val flag : t -> Cell.t
+(** Completed acquisitions, successful [try_acquire] included. *)
 val acquisitions : t -> int
 
 (** Waiters that exhausted the spin budget and parked. *)
@@ -22,6 +22,13 @@ val blocks : t -> int
 val handoffs : t -> int
 
 val is_held : t -> bool
+
+(** Untimed hint: some waiter is parked on the wait list (spinners are
+    invisible). *)
+val waiters : t -> bool
+
+val vclass : t -> Verify.lock_class
+val vid : t -> int
 
 val acquire : t -> Ctx.t -> unit
 val release : t -> Ctx.t -> unit

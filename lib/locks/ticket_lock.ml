@@ -43,7 +43,12 @@ let create ?(home = 0) ?(spin_unit = 40) ?(vclass = "ticket") machine =
   }
 
 let acquisitions t = t.acquisitions
+let vclass t = t.vcls
+let vid t = t.vid
 let is_free t = Cell.peek t.next = Cell.peek t.owner
+
+(* More than one ticket outstanding past the one being served. *)
+let waiters t = t.holder >= 0 && Cell.peek t.next > t.holder + 1
 
 (* fetch&increment by CAS retry. *)
 let take_ticket t ctx =
@@ -118,42 +123,3 @@ let acquire t ctx =
   t.holder_proc <- Ctx.proc ctx;
   t.acquisitions <- t.acquisitions + 1;
   Vhook.acquired ctx ~cls:t.vcls ~id:t.vid
-
-(* Core-interface view; [try_acquire] takes a ticket and waits (a true
-   TryLock would need fetch&decrement to give the ticket back). *)
-module Core = struct
-  type nonrec t = t
-
-  let algo = "Ticket"
-  let name _ = algo
-
-  let create ?(home = 0) ?(vclass = "ticket") machine = create ~home ~vclass machine
-  let acquire = acquire
-  let release = release
-
-  let try_acquire t ctx =
-    acquire t ctx;
-    true
-
-  (* Not abortable: a ticket, once taken, cannot be returned without
-     fetch&decrement, and a skipped ticket would stall every later waiter
-     (the owner word only ever advances by one). Timed acquisition
-     degenerates to a blocking acquire, as the capability flag states. *)
-  let try_acquire_for t ctx ~deadline:_ =
-    acquire t ctx;
-    true
-
-  let abortable = false
-
-  (* Recoverable despite not being abortable: waiters recover in-spin (see
-     [acquire]), and a detector can call [recover] directly. *)
-  let recover = recover
-  let recoverable = true
-  let is_free = is_free
-
-  (* More than one ticket outstanding past the one being served. *)
-  let waiters t = t.holder >= 0 && Cell.peek t.next > t.holder + 1
-  let acquisitions = acquisitions
-  let vclass t = t.vcls
-  let vid t = t.vid
-end

@@ -90,15 +90,6 @@ let acquired_shared ctx ~cls ~id =
       Obs.lock_acquired o ~proc ~cls ~id ~now;
       Obs.rw_read_enter o ~proc ~cls)
 
-let try_acquired_shared ctx ~cls ~id =
-  on ctx (fun v ->
-      Verify.try_acquired v ~proc:(Ctx.proc ctx) ~cls ~id ~now:(Ctx.now ctx));
-  obs ctx (fun o ->
-      let proc = Ctx.proc ctx in
-      let now = Ctx.now ctx in
-      Obs.lock_try_acquired o ~proc ~cls ~id ~now;
-      Obs.rw_read_enter o ~proc ~cls)
-
 let released_shared ctx ~cls ~id =
   on ctx (fun v ->
       Verify.released v ~proc:(Ctx.proc ctx) ~cls ~id ~now:(Ctx.now ctx));

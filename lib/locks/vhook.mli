@@ -73,9 +73,6 @@ val optimistic_abort : Ctx.t -> cls:Verify.lock_class -> unit
 (** The blocking shared acquisition of a {!wait_acquire} succeeded. *)
 val acquired_shared : Ctx.t -> cls:Verify.lock_class -> id:int -> unit
 
-(** A non-blocking shared acquisition succeeded. *)
-val try_acquired_shared : Ctx.t -> cls:Verify.lock_class -> id:int -> unit
-
 (** A shared hold ended. *)
 val released_shared : Ctx.t -> cls:Verify.lock_class -> id:int -> unit
 

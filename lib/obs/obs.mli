@@ -4,7 +4,7 @@
     The discipline matches [lib/verify]: nothing here touches the engine,
     draws random numbers or charges simulated cycles. Uninstalled, every
     hook site is a single branch on [Machine.obs]; installed, the hooks do
-    pure host-side bookkeeping, so an instrumented run is bit-identical in
+    pure host-side bookkeeping, so an observed run is bit-identical in
     simulated time to a plain one.
 
     Lock classes are {!Verify}'s interned classes — the profile speaks the

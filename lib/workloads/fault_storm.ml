@@ -17,7 +17,7 @@
    - [No_timeout]: the pre-existing protocol. Plain [Mcs.acquire], unbounded
      [Reserve.spin_until_clear], unbounded RPC retry. A stalled holder
      stalls everyone behind it.
-   - [Timeout]: [Mcs.acquire_with_timeout] and
+   - [Timeout]: [Mcs.try_acquire_for] and
      [Reserve.spin_until_clear_timeout]; on expiry the worker moves to
      another structure, deferring the op to local fallback work only after
      bouncing off all of them. RPC retry still unbounded.
@@ -244,7 +244,8 @@ let run ?(cfg = Config.hector) ?(config = default_config) ?verify ?obs
                 Mcs.acquire lock ctx;
                 true
               | Timeout | Bounded_retry ->
-                Mcs.acquire_with_timeout lock ctx ~timeout:lock_timeout
+                Mcs.try_acquire_for lock ctx
+                  ~deadline:(Ctx.now ctx + lock_timeout)
             in
             if not got then element_op (tries + 1) ((si + 1) mod config.s)
             else begin

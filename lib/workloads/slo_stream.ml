@@ -21,7 +21,7 @@
    behind earlier requests on the same server — push the offered rate past
    the table's capacity and the p99/p99.9 climb long before the mean does.
 
-   The run is always instrumented: a {!Verify} checker (the experiment
+   The run always carries both observers: a {!Verify} checker (the experiment
    requires zero violations) and an {!Obs} observer grouped by HECTOR
    station. The arrival queues are host-side request buffers (the NIC ring,
    not simulated kernel memory); every table access inside a request is

@@ -207,7 +207,8 @@ let run_aborted_waiter () =
     (* By now the other processor holds [second]: with untimed inner
        acquisitions this is the [Deadlock] probe. *)
     let rec attempt () =
-      if not (Mcs.acquire_with_timeout second ctx ~timeout:20_000) then begin
+      if not (Mcs.try_acquire_for second ctx ~deadline:(Ctx.now ctx + 20_000))
+      then begin
         (* Deadline expired: retreat — release what we hold so the other
            side can finish — and retry after an (asymmetric) pause. *)
         Mcs.release first ctx;
@@ -253,7 +254,8 @@ let run_dead_owner () =
       (* The detector loop [Lock.acquire_recoverable] runs, inlined: timed
          slices, and on each expiry a recovery pass against the oracle. *)
       let rec go () =
-        if not (Mcs.acquire_with_timeout l ctx ~timeout:2_000) then begin
+        if not (Mcs.try_acquire_for l ctx ~deadline:(Ctx.now ctx + 2_000))
+        then begin
           ignore (Mcs.recover l ctx);
           go ()
         end

@@ -87,7 +87,7 @@ let abort_stress ~algo ~p ~iters ~hold ~think ~timeout_cycles ~seed =
   Engine.run eng;
   !peak = 1
   && !wins + !aborts = ((iters + 1) * p)
-  && !(lock.Lock.acquires) = !wins
+  && lock.Lock.acquisitions () = !wins
   && lock.Lock.is_free ()
 
 let prop_abort_safety =

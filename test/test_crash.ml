@@ -144,7 +144,7 @@ let crash_stress ~algo ~p ~n_kills ~iters ~hold ~think ~seed =
   !excl
   && !kills = n_kills
   && !wins = !expected_wins
-  && !(lock.Lock.acquires) = !wins + !kills
+  && lock.Lock.acquisitions () = !wins + !kills
   && Machine.crashes machine = n_kills
   && lock.Lock.is_free ()
 

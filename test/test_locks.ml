@@ -314,9 +314,7 @@ let test_lock_instrumentation () =
         lock.Lock.acquire c;
         lock.Lock.release c
       done);
-  Alcotest.(check int) "acquires counted" 5 !(lock.Lock.acquires);
-  Alcotest.(check bool) "wait cycles accumulated" true
-    (!(lock.Lock.wait_cycles) > 0)
+  Alcotest.(check int) "acquisitions counted" 5 (lock.Lock.acquisitions ())
 
 let suite =
   [

@@ -192,7 +192,7 @@ let test_timed_acquire_uncontended () =
   Process.spawn eng (fun () ->
       let c = ctx 0 in
       Alcotest.(check bool) "free -> acquired" true
-        (Mcs.acquire_with_timeout lock c ~timeout:100);
+        (Mcs.try_acquire_for lock c ~deadline:(Machine.now machine + 100));
       Alcotest.(check bool) "held" true (Mcs.is_held lock);
       Mcs.release lock c;
       Alcotest.(check bool) "free" true (Mcs.is_free lock));
@@ -200,7 +200,7 @@ let test_timed_acquire_uncontended () =
   Alcotest.(check int) "no timeouts" 0 (Mcs.timeouts lock)
 
 let test_timed_acquire_zero_deadline () =
-  (* A zero or negative timeout is an already-expired deadline: it must
+  (* A deadline at or before now is already expired: it must
      fail immediately with no effect on the lock — no enqueue, no memory
      traffic, no verification events — even when the lock is free and an
      enqueue would have won. Only the timeouts counter advances. *)
@@ -209,15 +209,15 @@ let test_timed_acquire_zero_deadline () =
   Process.spawn eng (fun () ->
       let c = ctx 0 in
       let t0 = Machine.now machine in
-      Alcotest.(check bool) "timeout 0 on a free lock -> false" false
-        (Mcs.acquire_with_timeout lock c ~timeout:0);
-      Alcotest.(check bool) "negative timeout -> false" false
-        (Mcs.acquire_with_timeout lock c ~timeout:(-100));
+      Alcotest.(check bool) "deadline = now on a free lock -> false" false
+        (Mcs.try_acquire_for lock c ~deadline:t0);
+      Alcotest.(check bool) "deadline in the past -> false" false
+        (Mcs.try_acquire_for lock c ~deadline:(t0 - 100));
       Alcotest.(check int) "no simulated time consumed" t0 (Machine.now machine);
       Alcotest.(check bool) "lock untouched" true (Mcs.is_free lock);
       (* The refusals left no queue state behind: a real attempt wins. *)
       Alcotest.(check bool) "node unharmed, lock acquirable" true
-        (Mcs.acquire_with_timeout lock c ~timeout:100);
+        (Mcs.try_acquire_for lock c ~deadline:(Machine.now machine + 100));
       Mcs.release lock c);
   Engine.run eng;
   Alcotest.(check int) "both refusals counted" 2 (Mcs.timeouts lock);
@@ -239,7 +239,7 @@ let test_timed_acquire_within_deadline () =
       let c = ctx 1 in
       Process.pause eng 50;
       Alcotest.(check bool) "waits and wins" true
-        (Mcs.acquire_with_timeout lock c ~timeout:5000);
+        (Mcs.try_acquire_for lock c ~deadline:(Machine.now machine + 5000));
       won_at := Machine.now machine;
       Mcs.release lock c);
   Engine.run eng;
@@ -260,18 +260,18 @@ let test_timed_acquire_expires_and_gc () =
       let c = ctx 1 in
       Process.pause eng 50;
       Alcotest.(check bool) "deadline expires" false
-        (Mcs.acquire_with_timeout lock c ~timeout:200);
+        (Mcs.try_acquire_for lock c ~deadline:(Machine.now machine + 200));
       (* The abandoned node is still queued: a retry before GC must
          fast-fail without enqueueing a second node. *)
       let failures = Mcs.try_failures lock in
       Alcotest.(check bool) "node busy -> refused" false
-        (Mcs.acquire_with_timeout lock c ~timeout:200);
+        (Mcs.try_acquire_for lock c ~deadline:(Machine.now machine + 200));
       Alcotest.(check int) "fast-fail counted" (failures + 1)
         (Mcs.try_failures lock);
       (* Wait out the holder: release collects the abandoned node. *)
       Process.pause eng 5000;
       Alcotest.(check bool) "node reusable after GC" true
-        (Mcs.acquire_with_timeout lock c ~timeout:200);
+        (Mcs.try_acquire_for lock c ~deadline:(Machine.now machine + 200));
       Mcs.release lock c);
   Engine.run eng;
   Alcotest.(check int) "one deadline expiry" 1 (Mcs.timeouts lock);
@@ -293,7 +293,8 @@ let test_timed_acquire_two_waiters_expire () =
         Alcotest.(check bool)
           (Printf.sprintf "waiter %d times out" p)
           false
-          (Mcs.acquire_with_timeout lock c ~timeout:300))
+          (Mcs.try_acquire_for lock c
+             ~deadline:(Machine.now machine + 300)))
   done;
   Engine.run eng;
   Alcotest.(check int) "both expiries counted" 2 (Mcs.timeouts lock);

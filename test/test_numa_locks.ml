@@ -1,7 +1,10 @@
-(* Property tests for the composing lock layer: every [Lock.algo] must
-   preserve mutual exclusion and conserve completed acquires under
-   randomized schedules, and CNA's secondary queue must respect its
-   starvation bound. *)
+(* Tests for the composing lock layer: every [Lock.algo] must preserve
+   mutual exclusion and conserve completed acquires under randomized
+   schedules, and CNA's secondary queue must respect its starvation bound.
+   Directed cases pin the one lock record [Lock.make] builds: the
+   per-instance capability matrix of lock.mli, acquisition counting
+   through every face, and the rejection of an out-of-range topology by
+   every cluster-aware constructor. *)
 
 open Eventsim
 open Hector
@@ -50,7 +53,7 @@ let stress ~algo ~p ~iters ~hold ~think ~seed =
   Engine.run eng;
   !peak = 1
   && !completed = p * iters
-  && !(lock.Lock.acquires) = p * iters
+  && lock.Lock.acquisitions () = p * iters
   && lock.Lock.is_free ()
 
 let prop_safety =
@@ -128,8 +131,115 @@ let test_cna_starvation_bound () =
   Alcotest.(check bool) "spliced back into service" true (Cna.flushes lock > 0);
   Alcotest.(check bool) "free at end" true (Cna.is_free lock)
 
+(* A cohort with a non-abortable constituent, and the composites over it:
+   the instances a static, per-module capability flag got wrong. *)
+let ticket_cohort =
+  Lock.Cohort
+    {
+      local = Lock.Ticket;
+      global = Lock.Mcs_h1;
+      max_handoffs = Cohort.default_max_handoffs;
+    }
+
+let rw writer =
+  Lock.Rw { writer; policy = Rwlock.Writer_blocking; centralised = false }
+
+(* (algo, abortable, recoverable), as the matrix in lock.mli states it. *)
+let capability_matrix =
+  [
+    (Lock.Spin { max_backoff_us = 35.0 }, true, true);
+    (Lock.Mcs_original, true, true);
+    (Lock.Mcs_h1, true, true);
+    (Lock.Mcs_h2, true, true);
+    (Lock.Mcs_cas, true, true);
+    (Lock.Clh, true, true);
+    (Lock.Ticket, false, true);
+    (Lock.Anderson, true, true);
+    (Lock.Spin_then_block { spin_us = 10.0 }, false, false);
+    (Lock.Null, true, false);
+    (Lock.c_mcs_mcs, true, true);
+    (Lock.hmcs, true, true);
+    (Lock.cna, true, true);
+    (rw Lock.Mcs_h2, true, true);
+    (rw Lock.cna, true, true);
+    (Lock.adaptive, true, true);
+    (Lock.Adaptive { numa = Lock.c_mcs_mcs }, true, true);
+    (ticket_cohort, false, true);
+    (rw ticket_cohort, false, true);
+    (Lock.Adaptive { numa = ticket_cohort }, false, true);
+  ]
+
+let test_capability_matrix () =
+  let machine = Machine.create (Engine.create ()) Config.numachine in
+  List.iter
+    (fun (algo, abortable, recoverable) ->
+      let lock = Lock.make machine algo in
+      let name = Lock.algo_name algo in
+      Alcotest.(check bool) (name ^ " abortable") abortable lock.Lock.abortable;
+      Alcotest.(check bool)
+        (name ^ " recoverable") recoverable lock.Lock.recoverable)
+    capability_matrix
+
+(* One uncontended pass through each face — [acquire], a successful
+   [try_acquire], a successful [try_acquire_for] — must count three
+   acquisitions on every lock but [Null], which counts none. *)
+let test_acquisitions_every_face () =
+  List.iter
+    (fun (algo, _, _) ->
+      let eng = Engine.create () in
+      let machine = Machine.create eng Config.numachine in
+      let lock = Lock.make machine algo in
+      let ctx = Ctx.create machine ~proc:5 (Rng.create 3) in
+      let name = Lock.algo_name algo in
+      Process.spawn eng (fun () ->
+          lock.Lock.acquire ctx;
+          lock.Lock.release ctx;
+          Alcotest.(check bool) (name ^ " try_acquire") true
+            (lock.Lock.try_acquire ctx);
+          lock.Lock.release ctx;
+          Alcotest.(check bool) (name ^ " try_acquire_for") true
+            (lock.Lock.try_acquire_for ctx ~deadline:(Ctx.now ctx + 100_000));
+          lock.Lock.release ctx);
+      Engine.run eng;
+      Alcotest.(check int) (name ^ " acquisitions")
+        (if algo = Lock.Null then 0 else 3)
+        (lock.Lock.acquisitions ());
+      Alcotest.(check bool) (name ^ " free") true (lock.Lock.is_free ()))
+    capability_matrix
+
+(* Processor 5 mapped to cluster 7 of 4: every cluster-aware constructor
+   must refuse the topology at build time rather than index out of bounds
+   at the first acquire. *)
+let test_out_of_range_topology () =
+  let machine = Machine.create (Engine.create ()) Config.numachine in
+  let topo =
+    Lock_core.topo ~n_clusters:4 ~cluster_of:(fun p ->
+        if p = 5 then 7 else p / 4)
+  in
+  List.iter
+    (fun algo ->
+      Alcotest.(check bool)
+        (Lock.algo_name algo ^ " rejects the topology")
+        true
+        (match Lock.make machine ~topo algo with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [
+      Lock.c_mcs_mcs;
+      Lock.hmcs;
+      Lock.cna;
+      rw Lock.c_mcs_mcs;
+      Lock.Adaptive { numa = Lock.c_mcs_mcs };
+    ]
+
 let suite =
   [
+    Alcotest.test_case "capability matrix of lock.mli" `Quick
+      test_capability_matrix;
+    Alcotest.test_case "acquisitions count every face" `Quick
+      test_acquisitions_every_face;
+    Alcotest.test_case "out-of-range topology rejected" `Quick
+      test_out_of_range_topology;
     QCheck_alcotest.to_alcotest prop_safety;
     Alcotest.test_case "CNA starvation bound (escape hatch)" `Quick
       test_cna_starvation_bound;

@@ -380,7 +380,7 @@ let test_dead_reader_swept () =
   Alcotest.(check bool) "free at end" true (Rwlock.is_free lock)
 
 (* A corpse holding the write side: gates stay closed until a recovering
-   reader runs the release on its behalf (packed constituent repaired
+   reader runs the release on its behalf (writer constituent repaired
    through its own recovery). *)
 let test_dead_writer_released () =
   let eng = Engine.create () in
