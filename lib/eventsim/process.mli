@@ -3,7 +3,8 @@
     A process is an ordinary function; inside it, the functions below may be
     used to let virtual time pass. They must only be called from within a
     process started by [spawn] (performing an effect with no handler raises
-    [Effect.Unhandled]). *)
+    [Effect.Unhandled]), and the timed waits wake the process on the engine
+    it was spawned on: pass that engine. *)
 
 (** Low-level suspension: [suspend reg] captures the current continuation as
     a resume thunk and passes it to [reg]. The process stays suspended until

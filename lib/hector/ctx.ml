@@ -82,17 +82,24 @@ let work t cycles =
   t.instr_cycles <- t.instr_cycles + cycles;
   Machine.cpu_work t.machine cycles
 
-(* Charge [reg] register-to-register and [br] branch instructions. Cycles
-   immediately following a fetch&store overlap with its store phase, so up
-   to [atomic_overlap] of them are free (Section 4.1.1 of the paper). *)
-let instr t ?(reg = 0) ?(br = 0) () =
-  halt_if_dead t;
-  let cfg = config t in
-  let cost = (reg * cfg.Config.reg_cost) + (br * cfg.Config.branch_cost) in
-  let hidden = min t.overlap_credit cost in
+(* Charge [cost] instruction cycles and return the part not hidden by the
+   overlap window. Cycles immediately following a fetch&store overlap with
+   its store phase, so up to [atomic_overlap] of them are free (Section
+   4.1.1 of the paper). *)
+let charge t cost =
+  let hidden = if t.overlap_credit < cost then t.overlap_credit else cost in
   t.overlap_credit <- t.overlap_credit - hidden;
   let cost = cost - hidden in
   t.instr_cycles <- t.instr_cycles + cost;
+  cost
+
+(* Charge [reg] register-to-register and [br] branch instructions. *)
+let instr t ?(reg = 0) ?(br = 0) () =
+  halt_if_dead t;
+  let cfg = config t in
+  let cost =
+    charge t ((reg * cfg.Config.reg_cost) + (br * cfg.Config.branch_cost))
+  in
   if cost > 0 then Machine.cpu_work t.machine cost
 
 (* Take pending interrupts, one at a time. A taken interrupt always pays
@@ -127,6 +134,83 @@ let read t cell =
   poll t;
   t.overlap_credit <- 0;
   Machine.read t.machine ~proc:t.proc cell
+
+(* [poll] would be a no-op: the processor is alive and has no interrupt it
+   may take now. *)
+let quiet t =
+  Machine.proc_alive t.machine t.proc
+  && (t.in_interrupt || Queue.is_empty t.inbox)
+
+(* Host-side wait loops. A waiting processor repeats a short iteration —
+   poll, look, pause — many times. The fiber suspends once per wait, and
+   the engine event that ends each pause runs the next iteration's quiet
+   path itself, with the same events, timestamps and scheduling order as
+   the written-out loop. The event resumes the fiber, synchronously, at the
+   first iteration that is not quiet: the loop exits, or [poll] would park
+   a dead processor or take an interrupt. The fiber then runs that
+   iteration as ordinary code. *)
+
+(* Local spinning (Section 4.1.2): [read], a one-branch [instr] and the
+   test [until v], repeated until the test holds; returns the value that
+   passed. The first iteration, and any that is not quiet, runs in the
+   fiber: a spin that ends at once costs what the written-out loop does. *)
+let spin_read t cell ~until =
+  let m = t.machine and proc = t.proc in
+  let rec spin () =
+    let v = read t cell in
+    instr t ~br:1 ();
+    if until v then v
+    else if not (quiet t) then spin ()
+    else begin
+      let v = ref 0 and exited = ref false in
+      Process.suspend (fun resume ->
+          let eng = engine t in
+          let hit = ref false in
+          let rec issue () =
+            t.overlap_credit <- 0;
+            hit := Machine.read_hits m ~proc cell;
+            let finish = Machine.read_issue m ~proc cell ~hit:!hit in
+            if finish > Engine.now eng then
+              Engine.schedule eng ~at:finish complete
+            else complete ()
+          and complete () =
+            v := Machine.read_complete m ~proc cell ~hit:!hit;
+            (* [instr]'s [halt_if_dead]: a dead processor parks in [read]. *)
+            if not (Machine.proc_alive m proc) then resume ()
+            else
+              let cost = charge t (config t).Config.branch_cost in
+              if cost > 0 then Engine.schedule_after eng ~delay:cost test
+              else test ()
+          and test () =
+            if until !v then begin
+              exited := true;
+              resume ()
+            end
+            else if quiet t then issue ()
+            else resume ()
+          in
+          issue ());
+      if !exited then !v else spin ()
+    end
+  in
+  spin ()
+
+(* Pause [delay] cycles, then [next ()] more, for as long as the processor
+   stays quiet and [next ()] is positive. The caller's loop polls and tests
+   its exit condition after this returns; [next] is that test, answering 0
+   when the loop would exit. *)
+let wait_quietly t delay next =
+  if delay > 0 then
+    Process.suspend (fun resume ->
+        let eng = engine t in
+        let rec wake () =
+          if quiet t then begin
+            let d = next () in
+            if d > 0 then Engine.schedule_after eng ~delay:d wake else resume ()
+          end
+          else resume ()
+        in
+        Engine.schedule_after eng ~delay wake)
 
 let write t cell v =
   poll t;
@@ -193,13 +277,15 @@ let post_ipi target h =
    sits in the inbox for the whole pause — long enough to re-synchronise
    retry loops into livelock. *)
 let interruptible_pause ?(granule = 32) t cycles =
-  let eng = engine t in
   let deadline = Machine.now t.machine + cycles in
+  let step () =
+    let remaining = deadline - Machine.now t.machine in
+    if remaining < granule then remaining else granule
+  in
   let rec loop () =
     poll t;
-    let remaining = deadline - Machine.now t.machine in
-    if remaining > 0 then begin
-      Process.pause eng (min granule remaining);
+    if deadline > Machine.now t.machine then begin
+      wait_quietly t (step ()) step;
       loop ()
     end
   in
@@ -240,13 +326,13 @@ let await ?(poll_interval = 16) t ivar =
      may depend on a service this processor has deferred. The kernel never
      holds a coarse lock across an RPC, so this must not happen. *)
   assert (not t.soft_masked);
-  let eng = engine t in
+  let next () = if Ivar.is_full ivar then 0 else poll_interval in
   let rec loop () =
     poll t;
     match Ivar.peek ivar with
     | Some v -> v
     | None ->
-      Process.pause eng poll_interval;
+      wait_quietly t poll_interval next;
       loop ()
   in
   loop ()
@@ -256,8 +342,11 @@ let await ?(poll_interval = 16) t ivar =
    resend instead of spinning forever. *)
 let await_timeout ?(poll_interval = 16) t ~timeout ivar =
   assert (not t.soft_masked);
-  let eng = engine t in
   let deadline = Machine.now t.machine + timeout in
+  let next () =
+    if Ivar.is_full ivar || Machine.now t.machine >= deadline then 0
+    else poll_interval
+  in
   let rec loop () =
     poll t;
     match Ivar.peek ivar with
@@ -265,7 +354,7 @@ let await_timeout ?(poll_interval = 16) t ~timeout ivar =
     | None ->
       if Machine.now t.machine >= deadline then None
       else begin
-        Process.pause eng poll_interval;
+        wait_quietly t poll_interval next;
         loop ()
       end
   in

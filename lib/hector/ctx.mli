@@ -43,6 +43,15 @@ val instr : t -> ?reg:int -> ?br:int -> unit -> unit
 val poll : t -> unit
 
 val read : t -> Cell.t -> int
+
+(** [spin_read t cell ~until] spins locally: [read t cell], a one-branch
+    [instr], then the test [until v], repeated until the test holds;
+    returns the value that passed. Exactly the events, timestamps and
+    interrupt boundaries of the written-out loop, but the quiet iterations
+    run as engine events instead of fiber round trips. [until] may read the
+    clock (a deadline-bounded spin). *)
+val spin_read : t -> Cell.t -> until:(int -> bool) -> int
+
 val write : t -> Cell.t -> int -> unit
 
 (** Atomic swap; returns the previous value and opens the overlap window. *)

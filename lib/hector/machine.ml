@@ -182,8 +182,6 @@ let base_latency t ~proc ~home =
 let access_finish_time t ~proc ~home ~accesses ~atomic =
   let cfg = t.cfg in
   let start = Engine.now t.eng in
-  let sp = Config.station_of_proc cfg proc
-  and sm = Config.station_of_pmm cfg home in
   (* Injected hot-spot: the destination PMM may be serving at a multiple of
      its normal latency. 1 when no plan is installed or the PMM is cool, so
      the factor costs nothing when injection is off. *)
@@ -199,44 +197,34 @@ let access_finish_time t ~proc ~home ~accesses ~atomic =
      the base latency but reserve no shared resource. *)
   if proc = home then start + (cfg.Config.local_latency * accesses * hot)
   else begin
-  (* An atomic makes [accesses] full memory accesses, each a separate
-     transaction on the buses and ring, so every occupancy scales with
-     [accesses]. *)
-  let path = ref start in
-  if sp <> sm then begin
-    path :=
-      Resource.reserve t.bus.(sp) ~now:!path
-        ~service:(cfg.Config.bus_service * accesses);
-    path :=
-      Resource.reserve t.ring ~now:!path
-        ~service:(cfg.Config.ring_service * accesses);
-    path :=
-      Resource.reserve t.bus.(sm) ~now:!path
-        ~service:(cfg.Config.bus_service * accesses)
+    (* An atomic makes [accesses] full memory accesses, each a separate
+       transaction on the buses and ring, so every occupancy scales with
+       [accesses]. *)
+    let sp = Config.station_of_proc cfg proc
+    and sm = Config.station_of_pmm cfg home in
+    let bus = cfg.Config.bus_service * accesses in
+    let path = Resource.reserve t.bus.(sp) ~now:start ~service:bus in
+    let path =
+      if sp = sm then path
+      else
+        let path =
+          Resource.reserve t.ring ~now:path
+            ~service:(cfg.Config.ring_service * accesses)
+        in
+        Resource.reserve t.bus.(sm) ~now:path ~service:bus
+    in
+    let service =
+      ((cfg.Config.mem_service * accesses)
+      + (if atomic then cfg.Config.atomic_module_overhead else 0))
+      * hot
+    in
+    let path = Resource.reserve t.mem.(home) ~now:path ~service in
+    let latency =
+      if sp = sm then cfg.Config.station_latency else cfg.Config.ring_latency
+    in
+    let base = start + (latency * accesses * hot) in
+    if path > base then path else base
   end
-  else if proc <> home then
-    path :=
-      Resource.reserve t.bus.(sp) ~now:!path
-        ~service:(cfg.Config.bus_service * accesses);
-  let service =
-    ((cfg.Config.mem_service * accesses)
-    + (if atomic then cfg.Config.atomic_module_overhead else 0))
-    * hot
-  in
-  path := Resource.reserve t.mem.(home) ~now:!path ~service;
-  let base = base_latency t ~proc ~home * accesses * hot in
-  max !path (start + base)
-  end
-
-(* Perform one timed access and suspend until it completes. The value
-   operation [op] runs at completion time, which orders conflicting
-   operations by their service order at the memory module. *)
-let timed_access t ~proc cell ~accesses ?(atomic = false) op =
-  let finish =
-    access_finish_time t ~proc ~home:(Cell.home cell) ~accesses ~atomic
-  in
-  Process.wait_until t.eng finish;
-  op ()
 
 (* Hardware cache coherence (Section 5.2 discussion, NUMAchine preset):
    a read hits in the local cache if the processor holds a valid copy; a
@@ -244,25 +232,42 @@ let timed_access t ~proc cell ~accesses ?(atomic = false) op =
    exclusively, and otherwise pays the full memory access and invalidates
    every other copy. Invalidation traffic itself is abstracted (zero
    occupancy); the first-order effect — misses and exclusivity transfers
-   costing tens of cached operations — is what the model needs. *)
+   costing tens of cached operations — is what the model needs.
+
+   Each operation runs its value operation at completion time, which
+   orders conflicting operations by their service order at the memory
+   module. *)
 
 let cache_hit t = Process.pause t.eng t.cfg.Config.cache_hit
 
-let read t ~proc cell =
+let read_hits t ~proc cell =
+  t.cfg.Config.cache_coherent && Cell.cached_by cell proc
+
+let read_issue t ~proc cell ~hit =
   t.reads <- t.reads + 1;
-  if t.cfg.Config.cache_coherent && Cell.cached_by cell proc then begin
+  if hit then begin
     t.cache_hits <- t.cache_hits + 1;
-    cache_hit t;
-    Cell.peek cell
+    Engine.now t.eng + t.cfg.Config.cache_hit
   end
   else
-    timed_access t ~proc cell ~accesses:1 (fun () ->
-        if t.cfg.Config.cache_coherent then begin
-          (* A read copy downgrades any exclusive holder. *)
-          Cell.cache_drop_exclusive cell;
-          Cell.cache_fill cell proc
-        end;
-        Cell.peek cell)
+    access_finish_time t ~proc ~home:(Cell.home cell) ~accesses:1
+      ~atomic:false
+
+let read_complete t ~proc cell ~hit =
+  if t.cfg.Config.cache_coherent && not hit then begin
+    (* A read copy downgrades any exclusive holder. *)
+    Cell.cache_drop_exclusive cell;
+    Cell.cache_fill cell proc
+  end;
+  Cell.peek cell
+
+(* A miss always completes strictly later than it was issued (latencies
+   are positive); a hit waits [cache_hit] cycles, which may be none. *)
+let read t ~proc cell =
+  let hit = read_hits t ~proc cell in
+  let finish = read_issue t ~proc cell ~hit in
+  if finish > Engine.now t.eng then Process.wait_until t.eng finish;
+  read_complete t ~proc cell ~hit
 
 let write t ~proc cell v =
   t.writes <- t.writes + 1;
@@ -271,10 +276,13 @@ let write t ~proc cell v =
     cache_hit t;
     Cell.poke cell v
   end
-  else
-    timed_access t ~proc cell ~accesses:1 (fun () ->
-        if t.cfg.Config.cache_coherent then Cell.cache_take_exclusive cell proc;
-        Cell.poke cell v)
+  else begin
+    Process.wait_until t.eng
+      (access_finish_time t ~proc ~home:(Cell.home cell) ~accesses:1
+         ~atomic:false);
+    if t.cfg.Config.cache_coherent then Cell.cache_take_exclusive cell proc;
+    Cell.poke cell v
+  end
 
 let fetch_and_store t ~proc cell v =
   t.atomics <- t.atomics + 1;
@@ -282,19 +290,17 @@ let fetch_and_store t ~proc cell v =
     (* Cache-based atomic on an exclusively held line: close to a regular
        access. *)
     t.cache_hits <- t.cache_hits + 1;
-    cache_hit t;
-    let old = Cell.peek cell in
-    Cell.poke cell v;
-    old
+    cache_hit t
   end
-  else
-    timed_access t ~proc cell ~accesses:t.cfg.Config.atomic_mem_accesses
-      ~atomic:true
-      (fun () ->
-        if t.cfg.Config.cache_coherent then Cell.cache_take_exclusive cell proc;
-        let old = Cell.peek cell in
-        Cell.poke cell v;
-        old)
+  else begin
+    Process.wait_until t.eng
+      (access_finish_time t ~proc ~home:(Cell.home cell)
+         ~accesses:t.cfg.Config.atomic_mem_accesses ~atomic:true);
+    if t.cfg.Config.cache_coherent then Cell.cache_take_exclusive cell proc
+  end;
+  let old = Cell.peek cell in
+  Cell.poke cell v;
+  old
 
 let test_and_set t ~proc cell = fetch_and_store t ~proc cell 1
 
@@ -304,23 +310,19 @@ let compare_and_swap t ~proc cell ~expect ~set =
   t.atomics <- t.atomics + 1;
   if t.cfg.Config.cache_coherent && Cell.exclusive_of cell = proc then begin
     t.cache_hits <- t.cache_hits + 1;
-    cache_hit t;
-    if Cell.peek cell = expect then begin
-      Cell.poke cell set;
-      true
-    end
-    else false
+    cache_hit t
   end
-  else
-    timed_access t ~proc cell ~accesses:t.cfg.Config.atomic_mem_accesses
-      ~atomic:true
-      (fun () ->
-        if t.cfg.Config.cache_coherent then Cell.cache_take_exclusive cell proc;
-        if Cell.peek cell = expect then begin
-          Cell.poke cell set;
-          true
-        end
-        else false)
+  else begin
+    Process.wait_until t.eng
+      (access_finish_time t ~proc ~home:(Cell.home cell)
+         ~accesses:t.cfg.Config.atomic_mem_accesses ~atomic:true);
+    if t.cfg.Config.cache_coherent then Cell.cache_take_exclusive cell proc
+  end;
+  if Cell.peek cell = expect then begin
+    Cell.poke cell set;
+    true
+  end
+  else false
 
 let cpu_work t cycles = Process.pause t.eng cycles
 

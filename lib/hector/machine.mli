@@ -103,8 +103,23 @@ val cycles_of_us : t -> float -> int
 val base_latency : t -> proc:int -> home:int -> int
 
 (** Timed read: suspends for the access duration, returns the value as seen
-    when the memory module serviced the access. *)
+    when the memory module serviced the access. It is {!read_issue}, a wait
+    until the returned time when that is later than now, then
+    {!read_complete}. *)
 val read : t -> proc:int -> Cell.t -> int
+
+(** Whether a read by [proc] would hit in its cache now (only on a
+    cache-coherent configuration). *)
+val read_hits : t -> proc:int -> Cell.t -> bool
+
+(** Issue half of a read: counts it and, for a miss ([hit = false]),
+    reserves its interconnect path and memory module. Returns the time the
+    read completes. Takes no simulated time itself. *)
+val read_issue : t -> proc:int -> Cell.t -> hit:bool -> int
+
+(** Complete half of a read, run at the time {!read_issue} returned: a
+    miss fills [proc]'s cache; returns the value. *)
+val read_complete : t -> proc:int -> Cell.t -> hit:bool -> int
 
 val write : t -> proc:int -> Cell.t -> int -> unit
 

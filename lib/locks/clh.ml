@@ -114,15 +114,14 @@ let reclaim_abandoned t ctx node =
    redirects; returns the node the grant finally arrived through (the node
    to adopt at release). *)
 let rec spin_on_pred t ctx pred =
-  let v = Ctx.read ctx t.nodes.(pred) in
-  Ctx.instr ctx ~br:1 ();
+  let v =
+    Ctx.spin_read ctx t.nodes.(pred) ~until:(fun v -> v = v_released || v >= 2)
+  in
   if v = v_released then pred
-  else if v >= 2 then begin
-    let redirect = decode_abandoned v in
+  else begin
     reclaim_abandoned t ctx pred;
-    spin_on_pred t ctx redirect
+    spin_on_pred t ctx (decode_abandoned v)
   end
-  else spin_on_pred t ctx pred
 
 let acquire t ctx =
   Vhook.wait_acquire ctx ~cls:t.vcls ~id:t.vid;
@@ -168,16 +167,16 @@ let try_acquire_for t ctx ~deadline =
        a recycled node — possibly queued *behind* it — and close a
        circular wait. *)
     let rec wait pred =
-      let v = Ctx.read ctx t.nodes.(pred) in
-      Ctx.instr ctx ~br:1 ();
+      let v =
+        Ctx.spin_read ctx t.nodes.(pred) ~until:(fun v ->
+            v = v_released || v >= 2 || Machine.now t.machine >= deadline)
+      in
       if v = v_released then Ok pred
       else if v >= 2 then begin
-        let redirect = decode_abandoned v in
         reclaim_abandoned t ctx pred;
-        wait redirect
+        wait (decode_abandoned v)
       end
-      else if Machine.now t.machine >= deadline then Error pred
-      else wait pred
+      else Error pred
     in
     match wait pred with
     | Ok granted_through ->

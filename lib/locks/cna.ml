@@ -127,6 +127,10 @@ let flushes t = t.flushes
    timed. *)
 let qid p = p + 1
 let qnode t id = t.nodes.(id - 1)
+
+(* Wait for a successor to link itself in behind [nd]. *)
+let wait_next ctx nd = Ctx.spin_read ctx nd.next ~until:(fun v -> v <> nil)
+
 let timed_qid t p = Machine.n_procs t.machine + p + 1
 let is_timed_qid t id = id > Machine.n_procs t.machine
 
@@ -154,12 +158,7 @@ let acquire t ctx =
     Ctx.write ctx me.locked 1;
     Ctx.write ctx (qnode t pred).next (qid p);
     Ctx.instr ctx ~reg:1 ~br:1 ();
-    let rec spin () =
-      let v = Ctx.read ctx me.locked in
-      Ctx.instr ctx ~br:1 ();
-      if v <> 0 then spin ()
-    in
-    spin ()
+    ignore (Ctx.spin_read ctx me.locked ~until:(fun v -> v = 0))
   end;
   t.active.(p) <- qid p;
   got_lock t ctx
@@ -203,12 +202,7 @@ and collect t ctx id =
     else begin
       let usurper = Ctx.fetch_and_store ctx t.tail old_tail in
       Ctx.instr ctx ~br:1 ();
-      let rec wait_next () =
-        let v = Ctx.read ctx nd.next in
-        Ctx.instr ctx ~br:1 ();
-        if v = nil then wait_next () else v
-      in
-      let victim = wait_next () in
+      let victim = wait_next ctx nd in
       Ctx.write ctx nd.next nil;
       Ctx.write ctx nd.mark 0;
       if usurper <> nil then begin
@@ -335,12 +329,7 @@ let release t ctx =
          the NUMA policy to the re-installed head. *)
       let usurper = Ctx.fetch_and_store ctx t.tail old_tail in
       Ctx.instr ctx ~br:1 ();
-      let rec wait_next () =
-        let v = Ctx.read ctx me.next in
-        Ctx.instr ctx ~br:1 ();
-        if v = nil then wait_next () else v
-      in
-      let victim = wait_next () in
+      let victim = wait_next ctx me in
       if usurper <> nil then begin
         Ctx.write ctx (qnode t usurper).next victim
       end
@@ -387,26 +376,18 @@ let try_acquire_for t ctx ~deadline =
         Ctx.write ctx me.locked 1;
         Ctx.write ctx (qnode t pred).next my_id;
         Ctx.instr ctx ~reg:1 ~br:1 ();
-        let rec spin () =
-          let v = Ctx.read ctx me.locked in
-          Ctx.instr ctx ~br:1 ();
-          if v = 0 then true
-          else if Machine.now t.machine >= deadline then false
-          else spin ()
+        let v =
+          Ctx.spin_read ctx me.locked ~until:(fun v ->
+              v = 0 || Machine.now t.machine >= deadline)
         in
-        if spin () then take ()
+        if v = 0 then take ()
         else begin
           let prev = Ctx.fetch_and_store ctx me.mark mark_abandoned in
           Ctx.instr ctx ~br:1 ();
           if prev = mark_claimed then begin
             (* A hand-off committed before our abandonment: the lock is
                ours; nobody else will ever receive it. *)
-            let rec wait_grant () =
-              let v = Ctx.read ctx me.locked in
-              Ctx.instr ctx ~br:1 ();
-              if v <> 0 then wait_grant ()
-            in
-            wait_grant ();
+            ignore (Ctx.spin_read ctx me.locked ~until:(fun v -> v = 0));
             take ()
           end
           else begin

@@ -181,6 +181,13 @@ let timed_qid t p = Machine.n_procs t.machine + p + 1
 let is_timed_qid t id = id > Machine.n_procs t.machine
 let cid c = c + 1
 let cnode t id = t.cnodes.(id - 1)
+
+(* Spin until a successor links itself in through the [next]/[cnext] cell
+   [link]; returns it. *)
+let wait_link ctx link = Ctx.spin_read ctx link ~until:(fun v -> v <> nil)
+
+(* Spin until [cell] reads 0. *)
+let wait_clear ctx cell = ignore (Ctx.spin_read ctx cell ~until:(fun v -> v = 0))
 let timed_cid t c = t.n_clusters + c + 1
 let is_timed_cid t id = id > t.n_clusters
 
@@ -245,12 +252,7 @@ and collect_root t ctx id =
     else begin
       let usurper = Ctx.fetch_and_store ctx t.root_tail old_tail in
       Ctx.instr ctx ~br:1 ();
-      let rec wait_next () =
-        let v = Ctx.read ctx cn.cnext in
-        Ctx.instr ctx ~br:1 ();
-        if v = nil then wait_next () else v
-      in
-      let victim = wait_next () in
+      let victim = wait_link ctx cn.cnext in
       Ctx.write ctx cn.cnext nil;
       Ctx.write ctx cn.cmark 0;
       Ctx.write ctx cn.cbusy 0;
@@ -278,12 +280,7 @@ and collect_root t ctx id =
    traffic never opens the window, so the extra read stays uncontended. *)
 let acquire_root_via t ctx c via =
   let cn = cnode t via in
-  let rec wait_busy () =
-    let b = Ctx.read ctx cn.cbusy in
-    Ctx.instr ctx ~br:1 ();
-    if b <> 0 then wait_busy ()
-  in
-  wait_busy ();
+  wait_clear ctx cn.cbusy;
   Ctx.write ctx cn.cbusy 1;
   Ctx.write ctx cn.cnext nil;
   Ctx.write ctx cn.clocked 1;
@@ -291,12 +288,7 @@ let acquire_root_via t ctx c via =
   Ctx.instr ctx ~reg:1 ~br:1 ();
   if pred <> nil then begin
     Ctx.write ctx (cnode t pred).cnext via;
-    let rec spin () =
-      let v = Ctx.read ctx cn.clocked in
-      Ctx.instr ctx ~br:1 ();
-      if v <> 0 then spin ()
-    in
-    spin ()
+    wait_clear ctx cn.clocked
   end;
   t.root_via.(c) <- via
 
@@ -319,12 +311,7 @@ let release_root t ctx c =
     if old_tail <> via then begin
       let usurper = Ctx.fetch_and_store ctx t.root_tail old_tail in
       Ctx.instr ctx ~br:1 ();
-      let rec wait_next () =
-        let v = Ctx.read ctx cn.cnext in
-        Ctx.instr ctx ~br:1 ();
-        if v = nil then wait_next () else v
-      in
-      let victim = wait_next () in
+      let victim = wait_link ctx cn.cnext in
       if usurper <> nil then begin
         Ctx.write ctx (cnode t usurper).cnext victim
       end
@@ -379,12 +366,7 @@ and collect_local t ctx c id v =
     else begin
       let usurper = Ctx.fetch_and_store ctx t.local_tails.(c) old_tail in
       Ctx.instr ctx ~br:1 ();
-      let rec wait_next () =
-        let w = Ctx.read ctx nd.next in
-        Ctx.instr ctx ~br:1 ();
-        if w = nil then wait_next () else w
-      in
-      let victim = wait_next () in
+      let victim = wait_link ctx nd.next in
       Ctx.write ctx nd.next nil;
       Ctx.write ctx nd.mark 0;
       if usurper <> nil then begin
@@ -419,12 +401,7 @@ let acquire t ctx =
   else begin
     Ctx.write ctx (qnode t pred).next (qid p);
     Ctx.instr ctx ~reg:1 ~br:1 ();
-    let rec spin () =
-      let v = Ctx.read ctx me.locked in
-      Ctx.instr ctx ~br:1 ();
-      if v = w_wait then spin () else v
-    in
-    let v = spin () in
+    let v = Ctx.spin_read ctx me.locked ~until:(fun v -> v <> w_wait) in
     if v = acquire_parent t then begin
       (* The previous head gave up the root (budget exhausted or cohort
          drained elsewhere): we are the new local head. *)
@@ -475,12 +452,7 @@ let release t ctx =
            local head and is acquiring the root). *)
         let usurper = Ctx.fetch_and_store ctx t.local_tails.(c) old_tail in
         Ctx.instr ctx ~br:1 ();
-        let rec wait_next () =
-          let v = Ctx.read ctx me.next in
-          Ctx.instr ctx ~br:1 ();
-          if v = nil then wait_next () else v
-        in
-        let victim = wait_next () in
+        let victim = wait_link ctx me.next in
         if usurper <> nil then begin
           Ctx.write ctx (qnode t usurper).next victim
         end
@@ -507,12 +479,7 @@ let pass_headship t ctx c me my_id =
     if old_tail <> my_id then begin
       let usurper = Ctx.fetch_and_store ctx t.local_tails.(c) old_tail in
       Ctx.instr ctx ~br:1 ();
-      let rec wait_next () =
-        let v = Ctx.read ctx me.next in
-        Ctx.instr ctx ~br:1 ();
-        if v = nil then wait_next () else v
-      in
-      let victim = wait_next () in
+      let victim = wait_link ctx me.next in
       Ctx.write ctx me.next nil;
       if usurper <> nil then begin
         Ctx.write ctx (qnode t usurper).next victim
@@ -546,6 +513,7 @@ let try_acquire_for t ctx ~deadline =
       (* The node probe above is not charged to the wait: the budget the
          caller had on entry counts from here. *)
       let deadline = Machine.now t.machine + budget in
+      let expired () = Machine.now t.machine >= deadline in
       let abandon_fail () =
         Vhook.wait_abandoned ctx;
         false
@@ -563,14 +531,11 @@ let try_acquire_for t ctx ~deadline =
            another processor's context — bounded, so wait it out, with the
            deadline as backstop. Re-enqueueing before it clears would
            clobber the in-flight unlink (see [acquire_root_via]). *)
-        let rec busy_wait () =
-          let b = Ctx.read ctx cn.cbusy in
-          Ctx.instr ctx ~br:1 ();
-          if b = 0 then true
-          else if Machine.now t.machine >= deadline then false
-          else busy_wait ()
-        in
-        if marked <> 0 || not (busy_wait ()) then begin
+        if
+          marked <> 0
+          || Ctx.spin_read ctx cn.cbusy ~until:(fun b -> b = 0 || expired ())
+             <> 0
+        then begin
           (* Our cluster's timed cnode is still abandoned in the root
              queue (or stuck mid-release past our deadline): we cannot
              wait abortably at the root. Decline. *)
@@ -591,13 +556,6 @@ let try_acquire_for t ctx ~deadline =
           end
           else begin
             Ctx.write ctx (cnode t pred).cnext via;
-            let rec spin () =
-              let v = Ctx.read ctx cn.clocked in
-              Ctx.instr ctx ~br:1 ();
-              if v = 0 then true
-              else if Machine.now t.machine >= deadline then false
-              else spin ()
-            in
             let take_root () =
               Ctx.write ctx cn.cmark 0;
               t.root_via.(c) <- via;
@@ -605,18 +563,16 @@ let try_acquire_for t ctx ~deadline =
               got_lock t ctx;
               true
             in
-            if spin () then take_root ()
+            if
+              Ctx.spin_read ctx cn.clocked ~until:(fun v -> v = 0 || expired ())
+              = 0
+            then take_root ()
             else begin
               let prev = Ctx.fetch_and_store ctx cn.cmark mark_abandoned in
               Ctx.instr ctx ~br:1 ();
               if prev = mark_claimed then begin
                 (* The root hand-off already committed: it is ours. *)
-                let rec wait_grant () =
-                  let v = Ctx.read ctx cn.clocked in
-                  Ctx.instr ctx ~br:1 ();
-                  if v <> 0 then wait_grant ()
-                in
-                wait_grant ();
+                wait_clear ctx cn.clocked;
                 take_root ()
               end
               else begin
@@ -640,13 +596,6 @@ let try_acquire_for t ctx ~deadline =
       else begin
         Ctx.write ctx (qnode t pred).next my_id;
         Ctx.instr ctx ~reg:1 ~br:1 ();
-        let rec spin () =
-          let v = Ctx.read ctx me.locked in
-          Ctx.instr ctx ~br:1 ();
-          if v <> w_wait then Some v
-          else if Machine.now t.machine >= deadline then None
-          else spin ()
-        in
         let with_value v =
           (* The passer claimed our mark before writing the value. *)
           Ctx.write ctx me.mark 0;
@@ -661,19 +610,19 @@ let try_acquire_for t ctx ~deadline =
             true
           end
         in
-        match spin () with
-        | Some v -> with_value v
-        | None ->
+        let v =
+          Ctx.spin_read ctx me.locked ~until:(fun v ->
+              v <> w_wait || expired ())
+        in
+        if v <> w_wait then with_value v
+        else begin
           let prev = Ctx.fetch_and_store ctx me.mark mark_abandoned in
           Ctx.instr ctx ~br:1 ();
           if prev = mark_claimed then begin
             (* A hand-off committed: collect the value it delivers. *)
-            let rec wait_value () =
-              let v = Ctx.read ctx me.locked in
-              Ctx.instr ctx ~br:1 ();
-              if v = w_wait then wait_value () else v
+            let v =
+              Ctx.spin_read ctx me.locked ~until:(fun v -> v <> w_wait)
             in
-            let v = wait_value () in
             if v = acquire_parent t then begin
               (* Headship without the lock, past our deadline: we must
                  not park the cluster on an expired waiter — pass it on
@@ -688,6 +637,7 @@ let try_acquire_for t ctx ~deadline =
             (* Abandonment stands: the node remains queued, marked, until
                a later signal collects it. *)
             abandon_fail ()
+        end
       end
     end
   end
