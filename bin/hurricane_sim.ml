@@ -27,10 +27,6 @@ let algo_conv =
     | "clh" -> Ok Locks.Lock.Clh
     | "ticket" -> Ok Locks.Lock.Ticket
     | "anderson" -> Ok Locks.Lock.Anderson
-    | "adaptive" | "adaptive:cna" -> Ok Locks.Lock.adaptive
-    | "adaptive:cohort" ->
-      Ok (Locks.Lock.Adaptive { numa = Locks.Lock.c_mcs_mcs })
-    | "adaptive:hmcs" -> Ok (Locks.Lock.Adaptive { numa = Locks.Lock.hmcs })
     | s -> (
       match Scanf.sscanf_opt s "spin:%f" (fun v -> v) with
       | Some us -> Ok (Locks.Lock.Spin { max_backoff_us = us })
@@ -39,8 +35,7 @@ let algo_conv =
           (`Msg
             (Printf.sprintf
                "unknown lock algorithm %S (mcs | h1 | h2 | cas | clh | ticket \
-                | anderson | cohort | hmcs | cna | \
-                adaptive[:cna|:cohort|:hmcs] | spin:<us>)" s)))
+                | anderson | cohort | hmcs | cna | spin:<us>)" s)))
   in
   let print ppf a = Format.pp_print_string ppf (Locks.Lock.algo_name a) in
   Arg.conv (parse, print)
@@ -51,8 +46,8 @@ let algo_arg =
     & opt algo_conv Locks.Lock.Mcs_h2
     & info [ "l"; "lock" ] ~docv:"ALGO"
         ~doc:
-          "Lock algorithm: mcs, h1, h2, cas, cohort, hmcs, cna or \
-           spin:<max-backoff-us>.")
+          "Lock algorithm: mcs, h1, h2, cas, clh, ticket, anderson, cohort, \
+           hmcs, cna or spin:<max-backoff-us>.")
 
 let procs_arg =
   Arg.(
@@ -918,83 +913,6 @@ let slo_cmd =
       const run $ algo_arg $ procs $ elements $ rate $ requests $ shards
       $ read_ratio $ work_us $ seed_arg)
 
-(* -- adaptive subcommand ------------------------------------------------------ *)
-
-let adaptive_cmd =
-  let run algo p_hot p_cold clusters phase_us hold_us seed =
-    let r =
-      Diurnal.run
-        ~config:
-          {
-            Diurnal.default_config with
-            Diurnal.algo;
-            p_hot;
-            p_cold;
-            n_clusters = clusters;
-            phase_us;
-            hold_us;
-            seed;
-          }
-        ()
-    in
-    Format.fprintf ppf
-      "%s: cold1=%d hot=%d cold2=%d cold/ms=%.1f hot/ms=%.1f@."
-      r.Diurnal.algo_name r.Diurnal.cold1_ops r.Diurnal.hot_ops
-      r.Diurnal.cold2_ops r.Diurnal.cold_throughput_ops_ms
-      r.Diurnal.hot_throughput_ops_ms;
-    Format.fprintf ppf
-      "morphs-up=%d morphs-down=%d final-shape=%d final-free=%b \
-       lockdep-violations=%d@."
-      r.Diurnal.morphs_up r.Diurnal.morphs_down r.Diurnal.final_shape
-      r.Diurnal.final_free r.Diurnal.lockdep_violations;
-    if r.Diurnal.lockdep_violations > 0 then exit 1
-  in
-  let algo =
-    Arg.(
-      value
-      & opt algo_conv Locks.Lock.adaptive
-      & info [ "l"; "lock" ] ~docv:"ALGO"
-          ~doc:
-            "Lock algorithm (adaptive[:cna|:cohort|:hmcs], or any static \
-             shape to race against).")
-  in
-  let p_hot =
-    Arg.(
-      value & opt int 16
-      & info [ "p-hot" ] ~docv:"P" ~doc:"Processors at the daytime peak.")
-  in
-  let p_cold =
-    Arg.(
-      value & opt int 1
-      & info [ "p-cold" ] ~docv:"P"
-          ~doc:"Processors in the overnight trickle.")
-  in
-  let clusters =
-    Arg.(
-      value & opt int 4
-      & info [ "clusters" ] ~docv:"C" ~doc:"Number of clusters.")
-  in
-  let phase =
-    Arg.(
-      value & opt float 1200.0
-      & info [ "phase" ] ~docv:"US"
-          ~doc:"Length of each of the three plateaus in us.")
-  in
-  let hold =
-    Arg.(
-      value & opt float 1.5
-      & info [ "hold" ] ~docv:"US" ~doc:"Critical-section length in us.")
-  in
-  Cmd.v
-    (Cmd.info "adaptive"
-       ~doc:
-         "The diurnal load cycle: load ramps cold -> hot -> cold and the \
-          morphing lock promotes test&set -> MCS -> NUMA composite as the \
-          peak arrives, then demotes as traffic cools (experiment \
-          ADAPTIVE). Exits non-zero on lockdep violations.")
-    Term.(
-      const run $ algo $ p_hot $ p_cold $ clusters $ phase $ hold $ seed_arg)
-
 (* -- figure subcommand -------------------------------------------------------- *)
 
 let figure_cmd =
@@ -1043,8 +961,14 @@ let main_cmd =
       rw_cmd;
       hash_cmd;
       slo_cmd;
-      adaptive_cmd;
       figure_cmd;
     ]
 
-let () = exit (Cmd.eval main_cmd)
+(* A combination the workloads reject (an unabortable lock under [abort],
+   say) is a usage error, not a crash. *)
+let () =
+  exit
+    (try Cmd.eval ~catch:false main_cmd
+     with Invalid_argument msg ->
+       Format.eprintf "hurricane_sim: %s@." msg;
+       Cmd.Exit.cli_error)

@@ -34,8 +34,11 @@
    Version 8: added the "adaptive" experiment (the diurnal load cycle:
    per-phase throughput of the morphing lock against every static shape,
    with observer-counted promotions/demotions and the final shape gauge).
-   All pre-v8 experiment values unchanged. *)
-let schema_version = 8
+   All pre-v8 experiment values unchanged.
+   Version 9: "adaptive" became "diurnal" when the morphing lock was
+   retired: the same six static rows without the morphs_up, morphs_down
+   and final_shape fields. All other experiment values unchanged. *)
+let schema_version = 9
 
 (* The named entries (every exported one when [names] is empty), resolved
    before any cell runs so an unknown name fails without burning

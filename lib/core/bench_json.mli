@@ -10,7 +10,7 @@
 
     Schema (version {!schema_version}):
     {v
-    { "schema_version": 8,
+    { "schema_version": 9,
       "config": "hector",
       "units": { "latency": "us" },
       "experiments": {
@@ -54,10 +54,9 @@
                           p99_us, p999_us, min_us, max_us, frac_above_2ms},
                           update:{...}, peak_backlog, optimistic_hits,
                           optimistic_fallbacks, lockdep_violations} ],
-        "adaptive":    [ {lock, cold1_ops, hot_ops, cold2_ops,
+        "diurnal":     [ {lock, cold1_ops, hot_ops, cold2_ops,
                           cold_throughput_ops_ms, hot_throughput_ops_ms,
-                          morphs_up, morphs_down, final_shape, final_free,
-                          lockdep_violations} ]
+                          final_free, lockdep_violations} ]
       } }
     v}
     Version 2 added "numa_locks" (cross-cluster contention: NUMA-aware
@@ -85,6 +84,9 @@
     throughput of the morphing lock against every static shape, with
     observer-counted promotions/demotions and the final shape gauge); all
     pre-v8 experiment values unchanged.
+    Version 9 renamed "adaptive" to "diurnal" when the morphing lock was
+    retired: the same six static rows, without morphs_up, morphs_down and
+    final_shape; all other experiment values unchanged.
     Every number is the exact value the in-process runner returned — the
     schema test re-runs an experiment and compares the parsed file against
     it. *)

@@ -119,4 +119,5 @@ val rw_scaling : (Rw_scaling.style, Rw_scaling.result) spec
 (** SLO: one cell per offered rate; a row is (cell config, result). *)
 val slo : (float, Slo_stream.config * Slo_stream.result) spec
 
-val adaptive : (Lock.algo, Diurnal.result) spec
+(** DIURNAL: one cell per static lock. *)
+val diurnal : (Lock.algo, Diurnal.result) spec

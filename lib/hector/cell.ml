@@ -36,11 +36,6 @@ let label t = t.label
 let peek t = t.value
 let poke t v = t.value <- v
 
-let pp ppf t =
-  Format.fprintf ppf "cell#%d%s@pmm%d=%d" t.id
-    (if t.label = "" then "" else "(" ^ t.label ^ ")")
-    t.home t.value
-
 (* Cache-state helpers (untimed; the machine charges the costs). *)
 let cached_by t proc = t.cached_by land (1 lsl proc) <> 0
 let exclusive_of t = t.excl
@@ -52,7 +47,3 @@ let cache_take_exclusive t proc =
   t.excl <- proc
 
 let cache_drop_exclusive t = t.excl <- -1
-
-let cache_flush t =
-  t.cached_by <- 0;
-  t.excl <- -1

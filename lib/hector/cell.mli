@@ -18,8 +18,6 @@ val peek : t -> int
 (** Untimed write — initialisation and tests only. *)
 val poke : t -> int -> unit
 
-val pp : Format.formatter -> t -> unit
-
 (** Cache-state helpers for machines with hardware coherence (untimed —
     {!Machine} charges the costs). *)
 
@@ -28,4 +26,3 @@ val exclusive_of : t -> int
 val cache_fill : t -> int -> unit
 val cache_take_exclusive : t -> int -> unit
 val cache_drop_exclusive : t -> unit
-val cache_flush : t -> unit

@@ -61,7 +61,6 @@ let irqs_taken t = t.irqs_taken
 let irqs_deferred t = t.irqs_deferred
 let soft_masked t = t.soft_masked
 let in_interrupt t = t.in_interrupt
-let pending_interrupts t = Queue.length t.inbox
 
 (* Fail-stop enforcement: a dead processor's fiber parks — suspends with
    the resume continuation dropped on the floor — at the next operation

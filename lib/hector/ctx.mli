@@ -28,7 +28,6 @@ val soft_masked : t -> bool
     or deferred-work record drained by [poll]). Used by the verification
     layer to flag blocking waits from interrupt context. *)
 val in_interrupt : t -> bool
-val pending_interrupts : t -> int
 
 (** Pure compute for [cycles]. *)
 val work : t -> int -> unit
@@ -78,18 +77,12 @@ val interruptible_pause : ?granule:int -> t -> int -> unit
 
 (** Fault-injection point: consult the machine's installed fault plan
     ({!Machine.set_fault_plan}) and, if a crash is drawn, fail-stop this
-    processor on the spot (the fiber parks; see {!halt_if_dead}); else if
+    processor on the spot (the fiber parks at its next operation
+    boundary); else if
     a stall is drawn for [site], spend it as an interruptible pause (a
     preempted holder's processor still serves interrupts). Free when no
     plan is installed; makes no crash draw when [crash_rate = 0.0]. *)
 val fault_point : t -> site:int -> unit
-
-(** Park this fiber forever if its processor is dead
-    ({!Machine.proc_alive}). Called at every operation boundary ([poll],
-    [work], [instr], hence every memory operation and wait loop) — a
-    crashed processor stops at its next instruction without running any
-    cleanup. One host-side read when alive. *)
-val halt_if_dead : t -> unit
 
 (** Busy-wait for an ivar while continuing to take interrupts — how a
     processor waits for an RPC reply in an exception-based kernel. *)

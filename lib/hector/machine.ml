@@ -82,6 +82,8 @@ let crashes t = t.crashes
 let restarts t = t.restarts
 let set_restart_handler t f = t.on_restart <- Some f
 
+(* Fail-restart: the processor lives again and the restart handler runs.
+   The old fiber stays parked; the handler spawns fresh work. *)
 let revive t proc =
   if not t.alive.(proc) then begin
     t.alive.(proc) <- true;
@@ -155,16 +157,11 @@ let set_obs t o = t.obs <- o
 let obs t = t.obs
 
 let mem_resource t m = t.mem.(m)
-let bus_resource t s = t.bus.(s)
-let ring_resource t = t.ring
 
 let alloc t ?label ~home v =
   if home < 0 || home >= n_procs t then
     invalid_arg (Printf.sprintf "Machine.alloc: bad home PMM %d" home);
   Cell.make ?label ~home v
-
-let us_of_cycles t c = Config.us_of_cycles t.cfg c
-let cycles_of_us t us = Config.cycles_of_us t.cfg us
 
 (* Base latency of a single memory access, before contention. *)
 let base_latency t ~proc ~home =
@@ -325,12 +322,3 @@ let compare_and_swap t ~proc cell ~expect ~set =
   else false
 
 let cpu_work t cycles = Process.pause t.eng cycles
-
-let reset_counters t =
-  t.reads <- 0;
-  t.writes <- 0;
-  t.atomics <- 0;
-  t.cache_hits <- 0;
-  Array.iter Resource.reset t.mem;
-  Array.iter Resource.reset t.bus;
-  Resource.reset t.ring

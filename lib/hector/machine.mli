@@ -61,11 +61,6 @@ val proc_alive : t -> int -> bool
 (** When the processor was killed; -1 while alive. *)
 val killed_at : t -> int -> int
 
-(** Revive a dead processor immediately (idempotent on the living) and
-    invoke the restart handler, if any. The old fiber stays parked — the
-    handler is the place to spawn fresh work on the processor. *)
-val revive : t -> int -> unit
-
 (** Called with the processor id on every revival. *)
 val set_restart_handler : t -> (int -> unit) -> unit
 
@@ -89,14 +84,9 @@ val set_obs : t -> Obs.t option -> unit
 val obs : t -> Obs.t option
 
 val mem_resource : t -> int -> Resource.t
-val bus_resource : t -> int -> Resource.t
-val ring_resource : t -> Resource.t
 
 (** Allocate a cell homed on the given PMM. *)
 val alloc : t -> ?label:string -> home:int -> int -> Cell.t
-
-val us_of_cycles : t -> int -> float
-val cycles_of_us : t -> float -> int
 
 (** Uncontended latency of one access from [proc] to a cell homed on
     [home]. *)
@@ -137,6 +127,3 @@ val compare_and_swap : t -> proc:int -> Cell.t -> expect:int -> set:int -> bool
 
 (** Pure compute: suspend for [cycles] without touching any resource. *)
 val cpu_work : t -> int -> unit
-
-(** Zero operation counters and free all resources (between experiments). *)
-val reset_counters : t -> unit

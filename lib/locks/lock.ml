@@ -40,8 +40,6 @@ type algo =
   | Cna of { threshold : int } (* compact NUMA-aware MCS: secondary queue *)
   | Rw of { writer : algo; policy : Rwlock.policy; centralised : bool }
     (* distributed RW lock: per-cluster reader indicators over [writer] *)
-  | Adaptive of { numa : algo }
-    (* morphing lock: test&set -> H1-MCS -> [numa] by observed contention *)
 
 let rec algo_name = function
   | Spin { max_backoff_us } ->
@@ -68,7 +66,6 @@ let rec algo_name = function
       | Rwlock.Reader_preference -> "(rp)")
       (if centralised then "(1w)" else "")
       (algo_name writer)
-  | Adaptive { numa } -> Printf.sprintf "Adaptive(%s)" (algo_name numa)
 
 (* Whether [make] will demand a compare&swap machine for this algorithm —
    so workloads sweeping the whole family can upgrade the configuration
@@ -77,13 +74,12 @@ let rec needs_cas = function
   | Mcs_cas | Ticket | Anderson -> true
   | Rw _ -> true (* reader admission is a CAS retry loop *)
   | Cohort { local; global; _ } -> needs_cas local || needs_cas global
-  | Adaptive { numa } ->
-    (* The test&set and H1-MCS shapes are swap-only; only the NUMA
-       constituent can raise the requirement. *)
-    needs_cas numa
   | Spin _ | Mcs_original | Mcs_h1 | Mcs_h2 | Clh | Spin_then_block _ | Null
   | Hmcs _ | Cna _ ->
     false
+
+let config_for algo cfg =
+  if needs_cas algo && not cfg.Config.has_cas then Config.with_cas cfg else cfg
 
 (* A lock that does nothing: lets calibration probes measure a kernel path
    with its locking subtracted. *)
@@ -122,7 +118,6 @@ let c_mcs_mcs =
 let hmcs = Hmcs { threshold = Hmcs.default_threshold }
 let cna = Cna { threshold = Cna.default_threshold }
 let all_numa_algos = [ c_mcs_mcs; hmcs; cna ]
-let adaptive = Adaptive { numa = cna }
 
 let transferred cls id ctx = Vhook.transferred ctx ~cls ~id
 
@@ -141,7 +136,7 @@ let check_cohort_constituent algo =
   | Spin _ | Mcs_original | Mcs_h1 | Mcs_h2 | Mcs_cas | Clh | Ticket
   | Anderson ->
     ()
-  | Spin_then_block _ | Null | Cohort _ | Hmcs _ | Cna _ | Rw _ | Adaptive _ ->
+  | Spin_then_block _ | Null | Cohort _ | Hmcs _ | Cna _ | Rw _ ->
     invalid_arg
       (Printf.sprintf
          "Lock.make: %s cannot be a cohort constituent (base algorithms only)"
@@ -152,7 +147,7 @@ let check_cohort_constituent algo =
    existing combinators. *)
 let check_writer algo =
   match algo with
-  | Null | Spin_then_block _ | Rw _ | Adaptive _ ->
+  | Null | Spin_then_block _ | Rw _ ->
     invalid_arg
       (Printf.sprintf "Lock.make: %s cannot be an RW writer constituent"
          (algo_name algo))
@@ -328,30 +323,6 @@ let rec make machine ?(home = 0) ?vclass ?topo algo =
       ~local:(fun ~home ~vclass -> make machine ~home ~vclass local)
       ~global:(fun ~vclass -> make machine ~home ~vclass global)
       machine
-  | Adaptive { numa } ->
-    (* Morphing lock: three shapes sharing one lockdep class (distinct
-       instance ids), routed through Adaptive's mode word. *)
-    (match numa with
-    | Cohort _ | Hmcs _ | Cna _ -> ()
-    | _ ->
-      invalid_arg
-        (Printf.sprintf
-           "Lock.make: Adaptive's numa shape must be a NUMA composite \
-            (Cohort/Hmcs/Cna), not %s"
-           (algo_name numa)));
-    let vclass = Option.value vclass ~default:"adaptive" in
-    (* The test&set shape caps its backoff far below the standalone
-       Spin default: by construction it only ever serves light traffic
-       (contention promotes the lock away from it), and a tight cap is
-       what lets a saturated spin shape drain quickly after a morph —
-       with the 35us cap, the post-morph drain of a full complement of
-       backed-off waiters is as slow as the spin shape itself. *)
-    let shape algo = make machine ~home ~vclass ~topo algo in
-    let ts = shape (Spin { max_backoff_us = 5.0 }) in
-    let queue = shape Mcs_h1 in
-    let numa = shape numa in
-    Adaptive.create ~home ~vclass ~name ~topo ~shapes:[| ts; queue; numa |]
-      machine
   | Rw { writer; policy; centralised } ->
     (* The uniform record is the *writer* face; workloads wanting the
        reader side build the lock with [make_rw] instead. *)
@@ -463,16 +434,3 @@ let rec space_words ?(n_clusters = 1) ~n_procs = function
        centralised baseline. *)
     space_words ~n_clusters ~n_procs writer
     + (if centralised then 1 else n_clusters)
-  | Adaptive { numa } ->
-    (* The mode word plus the max over the three shapes. The accounting
-       convention throughout this function is the paper's per-lock *active*
-       view (MCS nodes are per-processor but shared across locks on real
-       systems); under that convention only one shape's words spin at a
-       time — the morph guard keeps the inactive shapes quiescent — so the
-       max, not the sum, is the footprint comparable with the static
-       rows. *)
-    1
-    + List.fold_left max 0
-        (List.map
-           (space_words ~n_clusters ~n_procs)
-           [ Spin { max_backoff_us = 5.0 }; Mcs_h1; numa ])

@@ -17,12 +17,11 @@ type t = Lock_core.t = {
           {!Lock_core.t}). Abortability is per instance:
           - abortable: Spin, MCS (all variants), CLH, Anderson, HMCS,
             CNA, Null, any Cohort whose constituents are all abortable,
-            any Rw whose writer is, and any Adaptive whose NUMA shape is
-            (its test&set and MCS shapes always are);
+            and any Rw whose writer is;
           - non-abortable (timed face blocks): Ticket (a drawn ticket
             cannot be handed back), Spin_then_block (wakeup is the
             scheduler's promise), and every composite over one of them
-            (a Cohort with a Ticket constituent, Rw or Adaptive over that
+            (a Cohort with a Ticket constituent, an Rw over that
             cohort). *)
   abortable : bool;
   recover : Ctx.t -> bool;
@@ -30,8 +29,7 @@ type t = Lock_core.t = {
           matrix: every base and composite algorithm except
           [Spin_then_block] (blocked waiters are the scheduler's, beyond
           the lock's reach) and [Null]; a [Cohort] is recoverable iff its
-          constituents are, an [Rw] iff its writer is, and an [Adaptive]
-          iff its NUMA shape is. Ticket is recoverable despite being
+          constituents are, and an [Rw] iff its writer is. Ticket is recoverable despite being
           non-abortable — its waiters run the dead-holder check inside
           their own spin. *)
   recoverable : bool;
@@ -73,16 +71,6 @@ type algo =
           and RW-CNA come free; not [Null], STB, or another [Rw]. The
           uniform record carries the {e writer} face; workloads that want
           the reader side build with {!make_rw}. Requires compare&swap. *)
-  | Adaptive of { numa : algo }
-      (** Morphing lock ({!Adaptive}): starts as a 5 µs-capped test&set
-          (capped low so a post-morph drain hands off quickly),
-          promotes to H1-MCS when the contended fraction of a sliding
-          acquisition window crosses a threshold, promotes again to [numa]
-          (a NUMA composite: [Cohort], [Hmcs] or [Cna] — [make] raises
-          [Invalid_argument] otherwise) when the remote-hand-off fraction
-          crosses a second threshold, and demotes as traffic cools. All
-          three shapes share one lockdep class; the morph protocol drains
-          the old shape before the new one carries the lock. *)
 
 val algo_name : algo -> string
 
@@ -91,6 +79,13 @@ val algo_name : algo -> string
     workload sweeping the family upgrade its configuration
     ([Config.with_cas]) for exactly the algorithms that need it. *)
 val needs_cas : algo -> bool
+
+(** [config_for algo cfg] is [cfg] upgraded with [Config.with_cas] when
+    [algo] {!needs_cas} and [cfg] lacks it, else [cfg] itself: the
+    configuration on which {!make} accepts [algo]. Lets a workload run the
+    whole family while every swap-only algorithm keeps the paper's
+    machine. *)
+val config_for : algo -> Config.t -> Config.t
 
 (** The five algorithms of Figure 5: MCS, H1-MCS, H2-MCS, spin with 35 µs
     cap, spin with 2 ms cap. *)
@@ -106,15 +101,11 @@ val cna : algo
 (** The three NUMA-aware composites at default thresholds. *)
 val all_numa_algos : algo list
 
-(** The default morphing lock: test&set → H1-MCS → CNA. *)
-val adaptive : algo
-
 (** [vclass] names the lock-order class reported to an installed
     {!Verify.t} checker; defaults to a per-algorithm class name (a
     composite's constituents report under suffixed classes: [".local"] /
-    [".global"], [".writer"]; Adaptive's three shapes share its class).
-    [topo] is the cluster topology the cluster-aware locks ([Cohort],
-    [Hmcs], [Cna], [Rw], and [Adaptive] through its NUMA shape) are built
+    [".global"], [".writer"]). [topo] is the cluster topology the
+    cluster-aware locks ([Cohort], [Hmcs], [Cna] and [Rw]) are built
     against, defaulting to the machine's hardware stations; base
     algorithms ignore it. Raises [Invalid_argument] for a constituent the
     composite does not accept, a topology that maps a processor outside
@@ -181,11 +172,7 @@ val with_lock : t -> Ctx.t -> (unit -> 'a) -> 'a
     - [Rw]: space(writer) + C reader-indicator words (count and gate bit
       share a word; 1 word when [centralised]) — the read-parallelism
       upgrade costs one word per cluster on top of whatever exclusive
-      lock serialises the writers;
-    - [Adaptive]: 1 + max(space(shape)) over its three shapes (mode word
-      plus the largest constituent) — under the per-lock {e active} view
-      only the current shape's words carry the lock, the morph guard
-      keeping the other two quiescent.
+      lock serialises the writers.
 
     Timed-acquisition state is {e excluded}, by the same convention that
     excludes MCS's per-processor interrupt nodes: the timed twin nodes

@@ -1,7 +1,7 @@
 (** The one lock interface: a record of closures over a lock instance.
 
     Every algorithm in [lib/locks] is reached through a {!t}, built by
-    [Lock.make]; the composites ({!Cohort}, {!Rwlock}, {!Adaptive}) take
+    [Lock.make]; the composites ({!Cohort}, {!Rwlock}) take
     their constituents as {!t} values too, so any algorithm can sit inside
     any composite that accepts it. Capabilities ([abortable],
     [recoverable]) are per instance: a cohort over a ticket constituent is

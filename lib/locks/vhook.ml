@@ -63,13 +63,6 @@ let released ctx ~cls ~id =
   obs ctx (fun o ->
       Obs.lock_released o ~proc:(Ctx.proc ctx) ~cls ~id ~now:(Ctx.now ctx))
 
-(* An adaptive lock switched shape: observer only — the shape-level
-   acquire/release pairs the checker sees are already balanced, so the
-   morph itself is not a lockdep event. *)
-let morphed ctx ~cls ~up ~shape =
-  obs ctx (fun o ->
-      Obs.lock_morphed o ~proc:(Ctx.proc ctx) ~cls ~up ~shape ~now:(Ctx.now ctx))
-
 (* An optimistic read (seqlock sample) aborted: no lock was ever held, so
    only the profile hears about it — there is nothing for lockdep to
    balance. *)

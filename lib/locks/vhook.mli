@@ -49,11 +49,6 @@ val transferred : Ctx.t -> cls:Verify.lock_class -> id:int -> unit
 
 val released : Ctx.t -> cls:Verify.lock_class -> id:int -> unit
 
-(** An adaptive lock switched to shape index [shape] ([up] for a
-    promotion). Observer only: the shape-level acquire/release pairs the
-    checker sees across a morph are already balanced. *)
-val morphed : Ctx.t -> cls:Verify.lock_class -> up:bool -> shape:int -> unit
-
 (** An optimistic read (seqlock sample) aborted: observer only — nothing
     was ever held, so there is nothing for the checker to balance. *)
 val optimistic_abort : Ctx.t -> cls:Verify.lock_class -> unit

@@ -15,9 +15,6 @@
 
 type t
 
-(** The interned class RPC waits are accounted under. *)
-val rpc_class : Verify.lock_class
-
 (** [create ~n_procs ()] profiles only. [trace] > 0 additionally keeps the
     last [trace] events in a ring (older events are dropped, counted in
     {!trace_dropped}). [cluster_of]/[n_clusters] default to one cluster. *)
@@ -46,8 +43,7 @@ val lock_try_acquired :
 
 (** An abandoned wait bumps [aborts] and [contended] without an
     acquisition; the bumps are sequenced (abort first) and hooks are
-    host-atomic, so any sampler — including an adaptive lock's policy
-    reading its own profile mid-run — sees rows satisfying
+    host-atomic, so a mid-run sampler sees rows satisfying
     [contended <= acqs + aborts]. *)
 val lock_wait_abandoned : t -> proc:int -> now:int -> unit
 
@@ -85,9 +81,6 @@ val rw_read_exit : t -> proc:int -> cls:Verify.lock_class -> unit
     [Lock.algo] can produce. *)
 val rw_read_peak : t -> cls:Verify.lock_class -> int
 
-(** Per-cluster peaks, clusters with no shared activity omitted. *)
-val rw_read_peak_by_cluster : t -> cls:Verify.lock_class -> (int * int) list
-
 val reserve_set :
   t -> proc:int -> cls:Verify.lock_class -> word:int -> now:int -> unit
 
@@ -107,43 +100,11 @@ val rpc_issue : t -> proc:int -> target:int -> now:int -> unit
 val rpc_retry : t -> proc:int -> now:int -> unit
 val rpc_reply : t -> proc:int -> now:int -> unit
 
-(** {2 Morphs (adaptive locks)}
-
-    Promotion/demotion counters per cluster and a current-shape gauge per
-    lock class, fed by [Vhook.morphed]. Kept beside the profile like the
-    crash and rw buckets: {!cells} is schema-stable. *)
-
-(** An adaptive lock of class [cls] switched to [shape] ([up] for a
-    promotion); attributed to the morphing releaser's cluster. *)
-val lock_morphed :
-  t ->
-  proc:int ->
-  cls:Verify.lock_class ->
-  up:bool ->
-  shape:int ->
-  now:int ->
-  unit
-
-type morph_row = { m_cluster : int; m_up : int; m_down : int }
-
-(** One row per cluster with any morph activity for [cls]. *)
-val morph_rows : t -> cls:Verify.lock_class -> morph_row list
-
-val morphs_up : t -> cls:Verify.lock_class -> int
-val morphs_down : t -> cls:Verify.lock_class -> int
-
-(** Latest shape index reported for [cls]; 0 (the base shape) if the class
-    never morphed. *)
-val current_shape : t -> cls:Verify.lock_class -> int
-
 (** {2 Crash and recovery}
 
     Kept beside the profile, not inside {!cells}: the profile schema is
     stable across versions, and crash evidence wants per-event latency
     samples. *)
-
-(** The interned class crash instants are traced under. *)
-val crash_class : Verify.lock_class
 
 (** Processor [proc] fail-stopped (called by [Machine.kill_proc]). *)
 val proc_crashed : t -> proc:int -> now:int -> unit
@@ -220,9 +181,6 @@ type kind =
   | Rpc_retry  (** instant: [Would_deadlock] resend/backoff *)
   | Rpc_reply  (** span: issue to reply *)
   | Proc_crash  (** instant: a processor fail-stopped *)
-  | Lock_morphed  (** instant: an adaptive lock switched shape *)
-
-val kind_name : kind -> string
 
 type event = {
   kind : kind;
@@ -235,7 +193,6 @@ type event = {
 (** Oldest retained first. *)
 val trace : t -> event list
 
-val trace_capacity : t -> int
 val trace_recorded : t -> int
 
 (** Events evicted from the ring. *)

@@ -107,6 +107,7 @@ let run ?(cfg = Config.hector) ?(config = default_config) algo =
   if config.n_clusters <= 0 || config.n_clusters > config.p then
     invalid_arg "Abort_storm.run: n_clusters out of range";
   if config.p < 2 then invalid_arg "Abort_storm.run: need a staller and a waiter";
+  let cfg = Lock.config_for algo cfg in
   let eng = Engine.create () in
   let machine = Machine.create eng cfg in
   let clustering =

@@ -81,13 +81,7 @@ let run ?(cfg = Config.hector) ?(config = default_config) algo =
     invalid_arg "Crash_storm.run: n_clusters out of range";
   if config.n_kills < 1 || config.n_kills > config.p - 1 then
     invalid_arg "Crash_storm.run: n_kills must leave a survivor";
-  (* Ticket/Anderson need compare&swap; upgrade the configuration for
-     exactly those algorithms so the rest of the family still runs on the
-     paper's swap-only machine. *)
-  let cfg =
-    if Lock.needs_cas algo && not cfg.Config.has_cas then Config.with_cas cfg
-    else cfg
-  in
+  let cfg = Lock.config_for algo cfg in
   let eng = Engine.create () in
   let machine = Machine.create eng cfg in
   let clustering =

@@ -1,24 +1,18 @@
-(* The diurnal load cycle (the ADAPTIVE experiment).
+(* The diurnal load cycle (the DIURNAL experiment).
 
-   The paper hand-picked a lock shape per subsystem because no single
-   shape wins across load regimes; this workload makes the regime change
-   *within one run*. Load ramps cold -> hot -> cold in three equal
-   plateaus: a couple of same-cluster processors with long think times
-   (the overnight trickle, where a test&set lock is unbeatable), then
-   every processor across every cluster hammering with short think times
-   (the daytime peak, where hand-offs are mostly remote and a NUMA
-   composite wins), then the trickle again.
+   The paper picks one static lock per subsystem, tuned for the
+   uncontended path. This workload puts both load regimes *within one
+   run* to show what that choice gives up. Load ramps cold -> hot -> cold
+   in three equal plateaus: a couple of same-cluster processors with long
+   think times (the overnight trickle, where a test&set lock is
+   unbeatable), then every processor across every cluster hammering with
+   short think times (the daytime peak, where hand-offs are mostly remote
+   and a NUMA composite wins), then the trickle again.
 
    Completed operations are classified into phases by completion time, so
-   per-phase throughput compares a morphing lock against each static
-   shape on the regime that shape is best at — the acceptance pin is that
-   no static algorithm wins both phases while Adaptive tracks the
-   per-phase winner within a fixed margin, and that the run shows at
-   least one promotion and one demotion.
-
-   A Verify checker and an Obs observer are always installed: the zero-
-   violation gate covers the morph protocol's drain hand-offs, and the
-   morph counters come from the observer, not from trusting the lock. *)
+   each static lock gets a cold and a hot throughput from the same run.
+   A Verify checker and an Obs observer are always installed: the run
+   must end with zero lockdep violations. *)
 
 open Eventsim
 open Hector
@@ -46,7 +40,7 @@ let default_config =
     hold_us = 1.5;
     think_cold_us = 5.0;
     think_hot_us = 3.0;
-    algo = Lock.adaptive;
+    algo = Lock.Mcs_h1;
     seed = 42;
   }
 
@@ -62,9 +56,6 @@ type result = {
   cold2_ops : int;
   cold_throughput_ops_ms : float; (* both cold plateaus combined *)
   hot_throughput_ops_ms : float;
-  morphs_up : int; (* observer-counted promotions (0 for static shapes) *)
-  morphs_down : int;
-  final_shape : int; (* observer gauge: shape index after the run *)
   final_free : bool;
   lockdep_violations : int;
   obs_rows : Obs.row list;
@@ -80,11 +71,7 @@ let run ?(cfg = Config.hector) ?(config = default_config) () =
   if config.p_hot > Config.n_procs cfg then
     invalid_arg "Diurnal.run: p_hot exceeds the machine";
   if config.phase_us <= 0.0 then invalid_arg "Diurnal.run: phase_us <= 0";
-  let cfg =
-    if Lock.needs_cas config.algo && not cfg.Config.has_cas then
-      Config.with_cas cfg
-    else cfg
-  in
+  let cfg = Lock.config_for config.algo cfg in
   let eng = Engine.create () in
   let machine = Machine.create eng cfg in
   let clustering =
@@ -188,7 +175,6 @@ let run ?(cfg = Config.hector) ?(config = default_config) () =
   done;
   Engine.run eng;
   Verify.finish verify ~now:(Machine.now machine);
-  let cls = Verify.lock_class obs_class in
   let phase_ms = config.phase_us /. 1000.0 in
   {
     algo = config.algo;
@@ -203,9 +189,6 @@ let run ?(cfg = Config.hector) ?(config = default_config) () =
     cold_throughput_ops_ms =
       float_of_int (!cold1_ops + !cold2_ops) /. (2.0 *. phase_ms);
     hot_throughput_ops_ms = float_of_int !hot_ops /. phase_ms;
-    morphs_up = Obs.morphs_up obs ~cls;
-    morphs_down = Obs.morphs_down obs ~cls;
-    final_shape = Obs.current_shape obs ~cls;
     final_free = lock.Lock.is_free ();
     lockdep_violations = Verify.violation_count verify;
     obs_rows = Obs.profile_rows obs;

@@ -78,6 +78,7 @@ let run ?(cfg = Config.hector) ?(config = default_config) ?(observe = false) ()
     =
   if config.read_ratio < 0.0 || config.read_ratio > 1.0 then
     invalid_arg "Hash_scaling.run: read_ratio out of [0,1]";
+  let cfg = Lock.config_for config.lock_algo cfg in
   let eng = Engine.create () in
   let machine = Machine.create eng cfg in
   let obs =

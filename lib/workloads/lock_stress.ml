@@ -43,6 +43,7 @@ type result = {
 }
 
 let run ?(cfg = Config.hector) ?(config = default_config) algo =
+  let cfg = Lock.config_for algo cfg in
   let eng = Engine.create () in
   let machine = Machine.create eng cfg in
   let lock = Lock.make machine ~home:0 algo in

@@ -58,6 +58,7 @@ let obs_class = "numa"
 let run ?(cfg = Config.hector) ?(config = default_config) algo =
   if config.n_clusters <= 0 || config.n_clusters > config.p then
     invalid_arg "Numa_stress.run: n_clusters out of range";
+  let cfg = Lock.config_for algo cfg in
   let eng = Engine.create () in
   let machine = Machine.create eng cfg in
   let clustering =

@@ -105,14 +105,12 @@ let run ?(cfg = Config.hector) ?(config = default_config) () =
     invalid_arg "Rw_scaling.run: n_clusters out of range";
   if config.p > Config.n_procs cfg then
     invalid_arg "Rw_scaling.run: p exceeds the machine";
-  let needs_cas =
-    match config.style with
-    | Rw_lock _ -> true
-    | Mutex a | Seqlock_style { writer = a } | Replicated { writer = a } ->
-      Lock.needs_cas a
-  in
   let cfg =
-    if needs_cas && not cfg.Config.has_cas then Config.with_cas cfg else cfg
+    match config.style with
+    | Rw_lock { writer; policy; centralised } ->
+      Lock.config_for (Lock.Rw { writer; policy; centralised }) cfg
+    | Mutex a | Seqlock_style { writer = a } | Replicated { writer = a } ->
+      Lock.config_for a cfg
   in
   let eng = Engine.create () in
   let machine = Machine.create eng cfg in

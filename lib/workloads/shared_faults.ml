@@ -45,6 +45,7 @@ type result = {
 let vpage_of j = 500_000 + j
 
 let run ?(cfg = Config.hector) ?(config = default_config) () =
+  let cfg = Lock.config_for config.lock_algo cfg in
   let eng = Engine.create () in
   let machine = Machine.create eng cfg in
   let kernel =

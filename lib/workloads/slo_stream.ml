@@ -87,6 +87,7 @@ let run ?(cfg = Config.hector) ?(config = default_config) () =
     invalid_arg "Slo_stream.run: elements must be positive";
   if config.p <= 0 || config.p > Config.n_procs cfg then
     invalid_arg "Slo_stream.run: p out of range for the machine";
+  let cfg = Lock.config_for config.lock_algo cfg in
   let eng = Engine.create () in
   let machine = Machine.create eng cfg in
   let verify = Verify.create ~n_procs:(Config.n_procs cfg) () in

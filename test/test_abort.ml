@@ -27,9 +27,6 @@ let abortable_algos =
     Lock.Anderson;
   ]
   @ Lock.all_numa_algos
-  (* The morphing lock rides along: every abandonment path must stay safe
-     across drains and mid-flight morphs. *)
-  @ [ Lock.adaptive ]
 
 (* Drive [p] processors through a random mix of timed and untimed
    acquisitions. Timeouts are drawn from [0, timeout_cycles): zero-deadline

@@ -27,9 +27,6 @@ let recoverable_algos =
     Lock.Anderson;
   ]
   @ Lock.all_numa_algos
-  (* The morphing lock rides along: a corpse may die inside any shape,
-     mid-drain, or between the mode-cell flip and its shape hand-off. *)
-  @ [ Lock.adaptive ]
 
 (* -- the fail-stop machinery ------------------------------------------------- *)
 
@@ -159,23 +156,6 @@ let test_clh_pump_rescue () =
   Alcotest.(check bool) "CLH survives the all-survivors-pumping kill" true
     (crash_stress ~algo:Lock.Clh ~p:4 ~n_kills:2 ~iters:6 ~hold:7 ~think:30
        ~seed:4315)
-
-(* Regression: qcheck-found inputs where the morphing lock lost a live
-   holder. In [Adaptive.recover]'s validated-corpse arm the shape's
-   recover is a yielding simulated operation that hands the shape to the
-   next waiter; that waiter validated and recorded itself as holder
-   before [recover] resumed, and [recover] then wiped the holder word, so
-   the waiter's release failed its holder assertion. *)
-let test_adaptive_recover_keeps_successor () =
-  List.iter
-    (fun (p, n_kills, hold, seed) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "Adaptive survives (p=%d, kills=%d, hold=%d, seed=%d)" p
-           n_kills hold seed)
-        true
-        (crash_stress ~algo:Lock.adaptive ~p ~n_kills ~iters:6 ~hold ~think:30
-           ~seed))
-    [ (7, 3, 10, 5797); (4, 1, 6, 1070) ]
 
 let prop_crash_safety =
   QCheck.Test.make
@@ -438,8 +418,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_crash_safety;
     Alcotest.test_case "CLH pump rescues a dead holder" `Quick
       test_clh_pump_rescue;
-    Alcotest.test_case "Adaptive recover keeps the successor's hold" `Quick
-      test_adaptive_recover_keeps_successor;
     Alcotest.test_case "crash storm: recovery conservation per algorithm"
       `Quick test_crash_storm;
     Alcotest.test_case "khash repair: shard lock, seqlock, reserve bit" `Quick

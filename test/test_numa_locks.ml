@@ -162,11 +162,8 @@ let capability_matrix =
     (Lock.cna, true, true);
     (rw Lock.Mcs_h2, true, true);
     (rw Lock.cna, true, true);
-    (Lock.adaptive, true, true);
-    (Lock.Adaptive { numa = Lock.c_mcs_mcs }, true, true);
     (ticket_cohort, false, true);
     (rw ticket_cohort, false, true);
-    (Lock.Adaptive { numa = ticket_cohort }, false, true);
   ]
 
 let test_capability_matrix () =
@@ -229,7 +226,6 @@ let test_out_of_range_topology () =
       Lock.hmcs;
       Lock.cna;
       rw Lock.c_mcs_mcs;
-      Lock.Adaptive { numa = Lock.c_mcs_mcs };
     ]
 
 let suite =

@@ -141,8 +141,8 @@ let test_unmatched_events_tolerated () =
 
 (* -- snapshot consistency ---------------------------------------------------
 
-   The profile is sampled mid-run by host-side readers (the adaptive
-   lock's policy, gauges, tests): after *every* hook, every row — total
+   The profile may be read by a mid-run sampler (a gauge, a test): after
+   *every* hook, every row — total
    and per-cluster — must satisfy [contended <= acqs + aborts]. The
    ordering inside the abandon/optimistic-abort hooks (abort bumped
    before contended) is exactly what this property pins: a random
@@ -364,7 +364,7 @@ let test_bench_json_schema () =
     Bench_json.document ~procs:[ 2 ] ~sizes:[ 4 ] ~iters:5 ~rounds:2 ~names ()
   in
   Alcotest.(check (list string)) "every acceptance check passes" [] failures;
-  Alcotest.(check int) "schema version" 8 Bench_json.schema_version;
+  Alcotest.(check int) "schema version" 9 Bench_json.schema_version;
   Alcotest.(check bool) "document round trips" true
     (Json.of_string (Json.to_string doc) = doc);
   Alcotest.(check bool) "schema_version" true

@@ -114,7 +114,7 @@ let bench_names =
     "ablation-cached-locks"; "ablation-spin-then-block"; "ablation-lockfree";
     "ablation-layout"; "ablation-lock-family"; "trylock"; "classes"; "cow";
     "fs"; "fault-matrix"; "verify"; "obs"; "numa"; "hash"; "abort-storm";
-    "crash-storm"; "rw"; "slo"; "adaptive" ]
+    "crash-storm"; "rw"; "slo"; "diurnal" ]
 
 let renamed = function
   | "numa" -> "numa_locks"
@@ -127,7 +127,7 @@ let renamed = function
 let exported_names =
   [ "fig4"; "uncontended"; "fig5a"; "fig5b"; "starvation"; "fig7a"; "fig7b";
     "fig7c"; "fig7d"; "constants"; "numa_locks"; "hash_scaling";
-    "abort_storm"; "crash_storm"; "rw_scaling"; "slo"; "adaptive" ]
+    "abort_storm"; "crash_storm"; "rw_scaling"; "slo"; "diurnal" ]
 
 let test_registry_shape () =
   let names = List.map Experiments.name Experiments.all in
@@ -233,24 +233,17 @@ let test_slo_checks () =
   fires "zero violations"
     (first (fun (c, r) -> (c, { r with Slo_stream.lockdep_violations = 1 })))
 
-let test_adaptive_checks () =
-  let s = Experiments.adaptive in
-  (* A static shape and the morphing lock itself. *)
-  let rows = cells s [ 0; List.length s.cells - 1 ] in
+let test_diurnal_checks () =
+  let s = Experiments.diurnal in
+  (* Spin(35us) leads the cold column, the cohort the hot one. *)
+  let rows = cells s [ 0; 4 ] in
   let fires = fires s rows in
-  let morphing (r : Diurnal.result) =
-    match r.algo with Lock.Adaptive _ -> true | _ -> false
-  in
   fires "more than one row" (fun rows -> [ List.hd rows ]);
   fires "final_free" (first (fun r -> { r with Diurnal.final_free = false }));
   fires "zero violations"
     (first (fun r -> { r with Diurnal.lockdep_violations = 1 }));
-  fires "Adaptive row present"
-    (List.filter (fun r -> not (morphing r)));
-  fires "morphs_up > 0"
-    (first ~p:morphing (fun r -> { r with Diurnal.morphs_up = 0 }));
-  fires "morphs_down > 0"
-    (first ~p:morphing (fun r -> { r with Diurnal.morphs_down = 0 }))
+  fires "no static row tops both phases"
+    (first (fun r -> { r with Diurnal.hot_throughput_ops_ms = infinity }))
 
 let suite =
   [
@@ -270,5 +263,5 @@ let suite =
     Alcotest.test_case "crash_storm checks fire" `Quick test_crash_storm_checks;
     Alcotest.test_case "rw_scaling checks fire" `Quick test_rw_scaling_checks;
     Alcotest.test_case "slo checks fire" `Quick test_slo_checks;
-    Alcotest.test_case "adaptive checks fire" `Quick test_adaptive_checks;
+    Alcotest.test_case "diurnal checks fire" `Quick test_diurnal_checks;
   ]

@@ -95,6 +95,13 @@ let test_lock_stress_sane () =
     (r.Lock_stress.summary.Measure.mean_us > 0.0);
   Alcotest.(check bool) "atomics happened" true (r.Lock_stress.atomics > 0)
 
+(* Ticket needs compare&swap, which the default (swap-only) HECTOR lacks:
+   the workload must upgrade the machine for it instead of raising. *)
+let test_lock_stress_upgrades_for_cas () =
+  let r = Lock_stress.run Lock.Ticket in
+  Alcotest.(check bool) "ticket acquires on the default machine" true
+    (r.Lock_stress.acquisitions > 0)
+
 let test_lock_stress_single_proc_near_uncontended () =
   let r =
     Lock_stress.run
@@ -242,6 +249,8 @@ let suite =
     Alcotest.test_case "uncontended matches the static model" `Quick
       test_uncontended_measured_matches_model;
     Alcotest.test_case "lock stress sanity" `Quick test_lock_stress_sane;
+    Alcotest.test_case "lock stress upgrades the machine for CAS" `Quick
+      test_lock_stress_upgrades_for_cas;
     Alcotest.test_case "lock stress, single processor" `Quick
       test_lock_stress_single_proc_near_uncontended;
     Alcotest.test_case "independent faults accounting" `Quick
