@@ -62,6 +62,9 @@ let bechamel_tests () =
                   }
                 ())))
   in
+  (* 10k events scheduled from time 0, one per cycle, then drained: the
+     first 255 wait in the timing wheel, the rest in the heap, so this
+     mostly times heap pushes and pops at a depth of thousands. *)
   let engine_events =
     Test.make ~name:"substrate: 10k engine events"
       (Staged.stage (fun () ->
@@ -71,12 +74,12 @@ let bechamel_tests () =
            done;
            Eventsim.Engine.run eng))
   in
-  (* The flattened-core pin: schedule-then-dispatch of 100k thunks through
-     the structure-of-arrays heap, reported as events/sec so the engine's
-     raw dispatch rate is tracked across changes (the interleaved variant
-     keeps the heap at working depth instead of draining a pre-filled one).
-     At that depth the sift cost dominates: the heap moves only its int
-     columns, and each thunk stays in one payload slot from push to pop. *)
+  (* The dispatch-rate pin: schedule-then-dispatch of 100k thunks, reported
+     as events/sec so the engine's raw dispatch rate is tracked across
+     changes. Each event is due one cycle ahead, as a spin iteration or an
+     RPC-reply poll is, so this times the timing wheel's append and pop
+     (the heap stays empty); 16 interleaved chains keep 16 events queued
+     instead of draining a pre-filled queue. *)
   let engine_events_flat =
     Test.make ~name:"substrate: 100k events pinned (events/sec)"
       (Staged.stage (fun () ->
@@ -88,9 +91,8 @@ let bechamel_tests () =
                Eventsim.Engine.schedule_after eng ~delay:1 feed
              end
            in
-           (* 16 concurrent chains: the heap stays ~16 deep, as in a
-              16-processor simulation, rather than degenerating to a
-              FIFO drain. *)
+           (* 16 concurrent chains: 16 events stay queued, as in a
+              16-processor simulation. *)
            for _ = 1 to 16 do
              feed ()
            done;

@@ -1,9 +1,11 @@
-(** Discrete-event engine: virtual clock + ordered heap of thunks.
+(** Discrete-event engine: virtual clock + ordered queue of thunks.
 
     Time is in integer machine cycles. All simulated concurrency is
     cooperative: a thunk runs to completion at its timestamp and may schedule
-    further thunks. Determinism is guaranteed by FIFO tie-breaking in the
-    event heap. *)
+    further thunks. Events run in (time, schedule order): same-time events
+    run first-scheduled first, which makes every run deterministic. Events
+    due within 256 cycles wait in a timing wheel, later ones in a binary
+    heap; the split does not change the order. *)
 
 (** Raised when the event budget is exhausted, which in practice means the
     simulation livelocked (e.g. processors spinning forever on a lock that is
@@ -35,7 +37,7 @@ val pending : t -> int
 (** Execute the single earliest event. Returns [false] if none was queued. *)
 val step : t -> bool
 
-(** Run until the heap is empty, or past [until] if given (events strictly
+(** Run until the queue is empty, or past [until] if given (events strictly
     later than [until] stay queued; the clock is advanced to [until] if the
-    heap drains early). *)
+    queue drains early). *)
 val run : ?until:int -> t -> unit

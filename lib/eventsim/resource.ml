@@ -12,17 +12,14 @@
    where time was lost. *)
 
 type t = {
-  name : string;
   mutable next_free : int;
   mutable busy_cycles : int;
   mutable queued_cycles : int; (* total time requests spent waiting *)
   mutable n_requests : int;
 }
 
-let create name =
-  { name; next_free = 0; busy_cycles = 0; queued_cycles = 0; n_requests = 0 }
-
-let name t = t.name
+let create () =
+  { next_free = 0; busy_cycles = 0; queued_cycles = 0; n_requests = 0 }
 
 let reserve t ~now ~service =
   if service < 0 then invalid_arg "Resource.reserve: negative service";
@@ -40,16 +37,6 @@ let busy_cycles t = t.busy_cycles
 let queued_cycles t = t.queued_cycles
 let n_requests t = t.n_requests
 
-let reset t =
-  t.next_free <- 0;
-  t.busy_cycles <- 0;
-  t.queued_cycles <- 0;
-  t.n_requests <- 0
-
 let utilization t ~horizon =
   if horizon <= 0 then 0.0
   else float_of_int t.busy_cycles /. float_of_int horizon
-
-let pp ppf t =
-  Format.fprintf ppf "%s: %d reqs, busy %d cyc, queued %d cyc" t.name
-    t.n_requests t.busy_cycles t.queued_cycles

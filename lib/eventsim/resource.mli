@@ -7,9 +7,7 @@
 
 type t
 
-val create : string -> t
-
-val name : t -> string
+val create : unit -> t
 
 (** [reserve t ~now ~service] claims the next service slot and returns the
     completion time. The caller is expected to [Process.wait_until] it. *)
@@ -25,10 +23,5 @@ val queued_cycles : t -> int
 
 val n_requests : t -> int
 
-(** Zero all counters and make the resource immediately free. *)
-val reset : t -> unit
-
 (** Fraction of [horizon] cycles the resource was busy. *)
 val utilization : t -> horizon:int -> float
-
-val pp : Format.formatter -> t -> unit

@@ -102,7 +102,3 @@ let clear t =
   t.sorted <- true
 
 let to_list t = Array.to_list (Array.sub t.samples 0 t.len)
-
-let pp ppf t =
-  Format.fprintf ppf "%s: n=%d mean=%.1f min=%d p50=%d p99=%d max=%d" t.name
-    t.len (mean t) (min_value t) (median t) (percentile t 0.99) (max_value t)

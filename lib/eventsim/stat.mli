@@ -34,5 +34,3 @@ val stddev : t -> float
 val clear : t -> unit
 
 val to_list : t -> int list
-
-val pp : Format.formatter -> t -> unit

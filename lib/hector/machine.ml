@@ -45,11 +45,9 @@ let create eng cfg =
   {
     eng;
     cfg;
-    mem = Array.init n (fun i -> Resource.create (Printf.sprintf "mem%d" i));
-    bus =
-      Array.init cfg.Config.stations (fun i ->
-          Resource.create (Printf.sprintf "bus%d" i));
-    ring = Resource.create "ring";
+    mem = Array.init n (fun _ -> Resource.create ());
+    bus = Array.init cfg.Config.stations (fun _ -> Resource.create ());
+    ring = Resource.create ();
     reads = 0;
     writes = 0;
     atomics = 0;

@@ -3,13 +3,13 @@
 open Eventsim
 
 let test_free_resource_serves_immediately () =
-  let r = Resource.create "r" in
+  let r = Resource.create () in
   let finish = Resource.reserve r ~now:100 ~service:10 in
   Alcotest.(check int) "finish" 110 finish;
   Alcotest.(check int) "next_free" 110 (Resource.next_free r)
 
 let test_busy_resource_queues () =
-  let r = Resource.create "r" in
+  let r = Resource.create () in
   let f1 = Resource.reserve r ~now:0 ~service:10 in
   let f2 = Resource.reserve r ~now:0 ~service:10 in
   let f3 = Resource.reserve r ~now:5 ~service:10 in
@@ -18,14 +18,14 @@ let test_busy_resource_queues () =
   Alcotest.(check int) "third queued" 30 f3
 
 let test_idle_gap () =
-  let r = Resource.create "r" in
+  let r = Resource.create () in
   let f1 = Resource.reserve r ~now:0 ~service:5 in
   let f2 = Resource.reserve r ~now:100 ~service:5 in
   Alcotest.(check int) "first" 5 f1;
   Alcotest.(check int) "after a gap no queueing" 105 f2
 
 let test_accounting () =
-  let r = Resource.create "r" in
+  let r = Resource.create () in
   ignore (Resource.reserve r ~now:0 ~service:10);
   ignore (Resource.reserve r ~now:0 ~service:10);
   Alcotest.(check int) "busy" 20 (Resource.busy_cycles r);
@@ -34,21 +34,13 @@ let test_accounting () =
   Alcotest.(check (float 0.001)) "utilization" 0.5
     (Resource.utilization r ~horizon:40)
 
-let test_reset () =
-  let r = Resource.create "r" in
-  ignore (Resource.reserve r ~now:0 ~service:10);
-  Resource.reset r;
-  Alcotest.(check int) "busy cleared" 0 (Resource.busy_cycles r);
-  Alcotest.(check int) "requests cleared" 0 (Resource.n_requests r);
-  Alcotest.(check int) "free now" 0 (Resource.next_free r)
-
 let test_zero_service () =
-  let r = Resource.create "r" in
+  let r = Resource.create () in
   let f = Resource.reserve r ~now:7 ~service:0 in
   Alcotest.(check int) "instant" 7 f
 
 let test_negative_service_rejected () =
-  let r = Resource.create "r" in
+  let r = Resource.create () in
   Alcotest.check_raises "negative"
     (Invalid_argument "Resource.reserve: negative service") (fun () ->
       ignore (Resource.reserve r ~now:0 ~service:(-1)))
@@ -59,7 +51,7 @@ let prop_fifo_completion_monotone =
     ~count:200
     QCheck.(list (pair (int_bound 100) (int_bound 20)))
     (fun reqs ->
-      let r = Resource.create "r" in
+      let r = Resource.create () in
       let arrivals =
         List.sort compare (List.map fst reqs)
         |> List.map2 (fun (_, s) a -> (a, s)) reqs
@@ -79,7 +71,7 @@ let prop_finish_at_least_now_plus_service =
     QCheck.(list (pair (int_bound 1000) (int_bound 50)))
     (fun reqs ->
       let reqs = List.sort compare reqs in
-      let r = Resource.create "r" in
+      let r = Resource.create () in
       List.for_all
         (fun (now, service) ->
           Resource.reserve r ~now ~service >= now + service)
@@ -93,7 +85,6 @@ let suite =
       test_busy_resource_queues;
     Alcotest.test_case "idle gaps do not queue" `Quick test_idle_gap;
     Alcotest.test_case "busy/queued accounting" `Quick test_accounting;
-    Alcotest.test_case "reset" `Quick test_reset;
     Alcotest.test_case "zero service" `Quick test_zero_service;
     Alcotest.test_case "negative service rejected" `Quick
       test_negative_service_rejected;
